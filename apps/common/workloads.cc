@@ -23,6 +23,7 @@
 #include "apps/common/workloads.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -125,34 +126,37 @@ class SyntheticApp final : public App {
     genRequest(util::Rng& rng) override
     {
         char buf[64];
+        char* p = buf;
         const uint64_t nonce = rng.next();
         switch (spec_.kind) {
         case WorkKind::kTree:
-            std::snprintf(buf, sizeof(buf), "get %llu %llx",
-                          static_cast<unsigned long long>(
-                              keyAt(zipf_->next(rng))),
-                          static_cast<unsigned long long>(nonce));
+            p = put(p, "get ");
+            p = putDec(p, keyAt(zipf_->next(rng)));
             break;
         case WorkKind::kScan:
-            std::snprintf(buf, sizeof(buf), "scan %llu %llx",
-                          static_cast<unsigned long long>(
-                              keyAt(zipf_->next(rng))),
-                          static_cast<unsigned long long>(nonce));
+            p = put(p, "scan ");
+            p = putDec(p, keyAt(zipf_->next(rng)));
             break;
-        case WorkKind::kSearch:
-            std::snprintf(buf, sizeof(buf), "q %llu %llu %llx",
-                          static_cast<unsigned long long>(
-                              zipf_->next(rng)),
-                          static_cast<unsigned long long>(
-                              zipf_->next(rng)),
-                          static_cast<unsigned long long>(nonce));
-            break;
-        case WorkKind::kCompute:
-            std::snprintf(buf, sizeof(buf), "x %llx",
-                          static_cast<unsigned long long>(nonce));
+        case WorkKind::kSearch: {
+            // The second term is drawn first. The recorded payload
+            // streams (and every digest and golden built on them)
+            // were produced by passing both draws as arguments of one
+            // call, which GCC evaluates right to left.
+            const uint64_t second = zipf_->next(rng);
+            const uint64_t first = zipf_->next(rng);
+            p = put(p, "q ");
+            p = putDec(p, first);
+            p = put(p, " ");
+            p = putDec(p, second);
             break;
         }
-        return buf;
+        case WorkKind::kCompute:
+            p = put(p, "x");
+            break;
+        }
+        p = put(p, " ");
+        p = std::to_chars(p, buf + sizeof(buf), nonce, 16).ptr;
+        return std::string(buf, p);
     }
 
     uint64_t
@@ -196,6 +200,22 @@ class SyntheticApp final : public App {
         const uint64_t n = static_cast<uint64_t>(
             static_cast<double>(base) * cfg_.sizeFactor);
         return std::max(n, floor);
+    }
+
+    /** Appends a literal; payload fields are at most 20 digits, so
+     * the 64-byte buffer never fills. */
+    template <size_t N>
+    static char*
+    put(char* p, const char (&lit)[N])
+    {
+        std::memcpy(p, lit, N - 1);
+        return p + N - 1;
+    }
+
+    static char*
+    putDec(char* p, uint64_t v)
+    {
+        return std::to_chars(p, p + 20, v).ptr;
     }
 
     /** Popular ranks map to scattered keys so hot keys do not share

@@ -8,8 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "apps/common/app.h"
 #include "apps/common/bptree.h"
+#include "core/harness.h"
 #include "core/request_queue.h"
 #include "util/histogram.h"
 #include "util/rng.h"
@@ -114,6 +117,56 @@ BM_BPlusTreeInsert(benchmark::State& state)
     benchmark::DoNotOptimize(tree.size());
 }
 BENCHMARK(BM_BPlusTreeInsert);
+
+/** App::genRequest per call, one app per work kind: tree lookup
+ * (silo), range scan (shore), posting-list search (xapian) and
+ * compute (moses). The virtual-time models pay it once per request. */
+void
+BM_GenRequest(benchmark::State& state)
+{
+    static const char* names[] = {"silo", "shore", "xapian", "moses"};
+    const char* name = names[state.range(0)];
+    auto app = apps::makeApp(name);
+    apps::AppConfig cfg;
+    cfg.seed = 42;
+    cfg.sizeFactor = 0.1;
+    app->init(cfg);
+    util::Rng rng(10);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(app->genRequest(rng));
+    state.SetLabel(name);
+}
+BENCHMARK(BM_GenRequest)->DenseRange(0, 3);
+
+/** core::buildRunResult over 60 k timings in collection order (the
+ * virtual-time workload's load run), reported per request. */
+void
+BM_BuildRunResult(benchmark::State& state)
+{
+    constexpr size_t kTimings = 60000;
+    util::Rng rng(11);
+    std::vector<core::RequestTiming> timings(kTimings);
+    int64_t t = 0;
+    for (core::RequestTiming& x : timings) {
+        t += 100 + static_cast<int64_t>(rng.nextInt(200));
+        x.genNs = t;
+        x.startNs = t + static_cast<int64_t>(rng.nextInt(5000));
+        x.endNs = x.startNs + 1000 + static_cast<int64_t>(rng.nextInt(9000));
+    }
+    for (size_t i = kTimings - 1; i > 0; i--)
+        std::swap(timings[i], timings[rng.nextInt(i + 1)]);
+    for (auto _ : state) {
+        state.PauseTiming();
+        std::vector<core::RequestTiming> copy = timings;
+        state.ResumeTiming();
+        const core::RunResult r =
+            core::buildRunResult(std::move(copy), core::ResultOptions{});
+        benchmark::DoNotOptimize(r.latency.sojourn.p99Ns);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<int64_t>(kTimings));
+}
+BENCHMARK(BM_BuildRunResult)->Unit(benchmark::kMillisecond);
 
 /** Per-application request processing cost (integrated-config hot path).
  * Apps use small datasets so fixture setup stays quick; relative

@@ -1,6 +1,7 @@
 #include "core/harness.h"
 
 #include <algorithm>
+#include <array>
 
 #include "util/logging.h"
 #include "util/stats.h"
@@ -9,23 +10,32 @@ namespace tb::core {
 
 Harness::~Harness() = default;
 
+namespace {
+
+constexpr std::array<double, 3> kSummaryPcts = {50.0, 95.0, 99.0};
+
+/** summarizeNs over [first, last), permuting the range. The mean is an
+ * exact integer sum and one division, so it does not depend on the
+ * order the range is in; it equals a double-precision sum in any
+ * order while partial sums stay below 2^53 ns. */
 LatencySummary
-summarizeNs(const std::vector<int64_t>& samples)
+summarizeInPlace(int64_t* first, int64_t* last)
 {
     LatencySummary s;
-    s.count = samples.size();
-    if (samples.empty())
+    s.count = static_cast<uint64_t>(last - first);
+    if (first == last)
         return s;
-    std::vector<int64_t> sorted(samples);
-    std::sort(sorted.begin(), sorted.end());
-    s.meanNs = util::meanOf(sorted);
-    s.p50Ns = util::percentileOfSorted(sorted, 50.0);
-    s.p95Ns = util::percentileOfSorted(sorted, 95.0);
-    s.p99Ns = util::percentileOfSorted(sorted, 99.0);
+    int64_t sum = 0;
+    for (const int64_t* p = first; p != last; ++p)
+        sum += *p;
+    s.meanNs = static_cast<double>(sum) / static_cast<double>(s.count);
+    const std::array<int64_t, 3> p =
+        util::percentilesInPlace(first, last, kSummaryPcts);
+    s.p50Ns = p[0];
+    s.p95Ns = p[1];
+    s.p99Ns = p[2];
     return s;
 }
-
-namespace {
 
 /** Window index for a generation timestamp: equal-width split of
  * [first, first+span], clamped so the last arrival lands in the last
@@ -45,6 +55,13 @@ windowIndex(int64_t genNs, int64_t firstGenNs, int64_t spanNs, size_t nwin)
 
 }  // namespace
 
+LatencySummary
+summarizeNs(const std::vector<int64_t>& samples)
+{
+    std::vector<int64_t> copy(samples);
+    return summarizeInPlace(copy.data(), copy.data() + copy.size());
+}
+
 RunResult
 buildRunResult(std::vector<RequestTiming>&& timings,
                const ResultOptions& opts)
@@ -58,34 +75,30 @@ buildRunResult(std::vector<RequestTiming>&& timings,
                   return a.genNs < b.genNs;
               });
 
-    std::vector<int64_t> sojourn;
-    std::vector<int64_t> queueing;
-    std::vector<int64_t> service;
-    sojourn.reserve(timings.size());
-    queueing.reserve(timings.size());
-    service.reserve(timings.size());
+    const size_t n = timings.size();
+    std::vector<int64_t> sojourn(n);
+    std::vector<int64_t> queueing(n);
+    std::vector<int64_t> service(n);
     int64_t last_end = timings.front().endNs;
     uint64_t slo_met = 0;
-    for (const RequestTiming& t : timings) {
-        sojourn.push_back(t.sojournNs());
-        queueing.push_back(t.queueNs());
-        service.push_back(t.serviceNs());
+    for (size_t i = 0; i < n; i++) {
+        const RequestTiming& t = timings[i];
+        sojourn[i] = t.sojournNs();
+        queueing[i] = t.queueNs();
+        service[i] = t.serviceNs();
         last_end = std::max(last_end, t.endNs);
-        if (opts.sloTargetNs > 0 && t.sojournNs() <= opts.sloTargetNs)
+        if (opts.sloTargetNs > 0 && sojourn[i] <= opts.sloTargetNs)
             slo_met++;
     }
-    r.latency.sojourn = summarizeNs(sojourn);
-    r.latency.queueing = summarizeNs(queueing);
-    r.latency.service = summarizeNs(service);
     if (opts.sloTargetNs > 0)
         r.sloAttainment = static_cast<double>(slo_met) /
-            static_cast<double>(timings.size());
+            static_cast<double>(n);
 
     // Span: first measured arrival to last measured completion. Under
     // overload completions stretch the span, so achieved < offered.
     const int64_t span = last_end - timings.front().genNs;
     if (span > 0)
-        r.achievedQps = static_cast<double>(timings.size()) * 1e9 /
+        r.achievedQps = static_cast<double>(n) * 1e9 /
             static_cast<double>(span);
 
     // Windowed accounting over the generation-time axis. Default window
@@ -97,26 +110,17 @@ buildRunResult(std::vector<RequestTiming>&& timings,
     if (opts.windows > 0) {
         nwin = std::min<size_t>(opts.windows, 256);
     } else {
-        nwin = std::max<size_t>(
-            1, std::min<size_t>(12, timings.size() / 40));
+        nwin = std::max<size_t>(1, std::min<size_t>(12, n / 40));
     }
     if (gen_span <= 0)
         nwin = 1;
     r.windows.resize(nwin);
-    std::vector<std::vector<int64_t>> win_sojourn(nwin);
-    std::vector<uint64_t> win_slo_met(nwin, 0);
     for (size_t w = 0; w < nwin; w++) {
         r.windows[w].startNs = first_gen +
             static_cast<int64_t>(static_cast<__int128>(gen_span) * w / nwin);
         r.windows[w].endNs = first_gen +
             static_cast<int64_t>(
                 static_cast<__int128>(gen_span) * (w + 1) / nwin);
-    }
-    for (const RequestTiming& t : timings) {
-        const size_t w = windowIndex(t.genNs, first_gen, gen_span, nwin);
-        win_sojourn[w].push_back(t.sojournNs());
-        if (opts.sloTargetNs > 0 && t.sojournNs() <= opts.sloTargetNs)
-            win_slo_met[w]++;
     }
     if (opts.genLag) {
         for (const GenLagSample& s : *opts.genLag) {
@@ -126,20 +130,48 @@ buildRunResult(std::vector<RequestTiming>&& timings,
                 std::max(r.windows[w].maxGenLagNs, s.lagNs);
         }
     }
+    // Timings are in generation order and windowIndex is monotone in
+    // genNs, so each window is one contiguous run of the sojourn
+    // vector, found by binary search. Summarising a run in place only
+    // permutes inside it, and the whole-run summaries below do not
+    // depend on order.
+    size_t begin = 0;
     for (size_t w = 0; w < nwin; w++) {
+        const size_t end = static_cast<size_t>(
+            std::partition_point(
+                timings.begin() + static_cast<ptrdiff_t>(begin),
+                timings.end(),
+                [&](const RequestTiming& t) {
+                    return windowIndex(t.genNs, first_gen, gen_span,
+                                       nwin) <= w;
+                }) -
+            timings.begin());
+        uint64_t met = 0;
+        if (opts.sloTargetNs > 0) {
+            for (size_t i = begin; i < end; i++)
+                met += sojourn[i] <= opts.sloTargetNs;
+        }
         WindowStats& ws = r.windows[w];
-        ws.count = win_sojourn[w].size();
-        const LatencySummary s = summarizeNs(win_sojourn[w]);
+        ws.count = end - begin;
+        const LatencySummary s =
+            summarizeInPlace(sojourn.data() + begin, sojourn.data() + end);
         ws.sojournP50Ns = s.p50Ns;
         ws.sojournP95Ns = s.p95Ns;
         ws.sojournP99Ns = s.p99Ns;
         if (opts.sloTargetNs > 0 && ws.count > 0)
-            ws.sloFrac = static_cast<double>(win_slo_met[w]) /
+            ws.sloFrac = static_cast<double>(met) /
                 static_cast<double>(ws.count);
         if (opts.scheduledMeanGapNs > 0.0 &&
             static_cast<double>(ws.maxGenLagNs) > opts.scheduledMeanGapNs)
             ws.genLagged = true;
+        begin = end;
     }
+    r.latency.sojourn =
+        summarizeInPlace(sojourn.data(), sojourn.data() + n);
+    r.latency.queueing =
+        summarizeInPlace(queueing.data(), queueing.data() + n);
+    r.latency.service =
+        summarizeInPlace(service.data(), service.data() + n);
 
     // Coordinated-omission self-check: compare the achieved send
     // timeline (scheduled arrival + generator lag) against the
@@ -182,14 +214,6 @@ buildRunResult(std::vector<RequestTiming>&& timings,
     if (opts.keepSamples)
         r.samples = std::move(timings);
     return r;
-}
-
-RunResult
-buildRunResult(std::vector<RequestTiming>&& timings, bool keepSamples)
-{
-    ResultOptions opts;
-    opts.keepSamples = keepSamples;
-    return buildRunResult(std::move(timings), opts);
 }
 
 }  // namespace tb::core

@@ -118,7 +118,7 @@ struct WindowStats {
     bool genLagged = false;
 };
 
-/** Knobs for buildRunResult beyond the legacy keepSamples flag. */
+/** Knobs for buildRunResult. */
 struct ResultOptions {
     bool keepSamples = false;
     /** Reporting windows; 0 = pick from sample count (see
@@ -197,7 +197,9 @@ class Harness {
 
 /** Exact summary statistics over a sample vector (harness-internal
  * collection sizes make exact stats affordable; the HDR histogram is
- * for streaming contexts). */
+ * for streaming contexts). Percentiles are exact order statistics
+ * found by selection (util::percentilesInPlace), equal to sorting and
+ * interpolating with util::percentileOfSorted. */
 LatencySummary summarizeNs(const std::vector<int64_t>& samples);
 
 /**
@@ -206,14 +208,11 @@ LatencySummary summarizeNs(const std::vector<int64_t>& samples);
  * summaries, per-window tail percentiles and generator-lag, SLO
  * attainment, and the coordinated-omission self-check (which warns
  * when it fires). Moves the timings into RunResult::samples when
- * requested.
+ * requested. Summaries are computed as summarizeNs does, in place on
+ * the per-request vectors this function builds.
  */
 RunResult buildRunResult(std::vector<RequestTiming>&& timings,
                          const ResultOptions& opts);
-
-/** Legacy convenience: aggregates only, no windows/SLO/CO check. */
-RunResult buildRunResult(std::vector<RequestTiming>&& timings,
-                         bool keepSamples);
 
 }  // namespace tb::core
 

@@ -84,7 +84,7 @@ simulateMgn(const std::vector<int64_t>& serviceSamplesNs,
 {
     const core::RunResult r =
         core::buildRunResult(simulateTimings(serviceSamplesNs, cfg),
-                             false);
+                             core::ResultOptions{});
     MgnResult out;
     out.achievedQps = r.achievedQps;
     out.sojourn = r.latency.sojourn;

@@ -4,6 +4,7 @@
 #include "apps/common/app.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -89,6 +90,65 @@ main()
         // process() with pacing off still does work and terminates.
         app->setRealtimeIo(false);
         app->process(req);
+    }
+
+    // Golden payloads: the first three requests of every app at seed
+    // 42, byte for byte. The payload hash picks the service time, so
+    // these bytes pin every virtual-time result downstream; kSearch
+    // apps also pin the order of their two Zipfian draws, which must
+    // not depend on the compiler's argument evaluation order.
+    {
+        struct Golden {
+            const char* app;
+            const char* payloads[3];
+        };
+        const Golden golden[] = {
+            {"xapian",
+             {"q 82913 26 d0764d4f4476689f", "q 740 8810 b37d9f600cd835b8",
+              "q 6 911 201718ff221a3556"}},
+            {"masstree",
+             {"get 1022024693340542355 d0764d4f4476689f",
+              "get 12536530248496425312 fbe07cfb0c24ed8c",
+              "get 3567942567242636250 cb231c3874846a73"}},
+            {"moses",
+             {"x d0764d4f4476689f", "x 519e4174576f3791",
+              "x fbe07cfb0c24ed8c"}},
+            {"sphinx",
+             {"q 82913 26 d0764d4f4476689f", "q 740 8810 b37d9f600cd835b8",
+              "q 6 911 201718ff221a3556"}},
+            {"img-dnn",
+             {"x d0764d4f4476689f", "x 519e4174576f3791",
+              "x fbe07cfb0c24ed8c"}},
+            {"specjbb",
+             {"get 1022024693340542355 d0764d4f4476689f",
+              "get 12536530248496425312 fbe07cfb0c24ed8c",
+              "get 3567942567242636250 cb231c3874846a73"}},
+            {"silo",
+             {"get 1022024693340542355 d0764d4f4476689f",
+              "get 12536530248496425312 fbe07cfb0c24ed8c",
+              "get 3567942567242636250 cb231c3874846a73"}},
+            {"shore",
+             {"scan 1022024693340542355 d0764d4f4476689f",
+              "scan 12536530248496425312 fbe07cfb0c24ed8c",
+              "scan 3567942567242636250 cb231c3874846a73"}},
+        };
+        CHECK_EQ(sizeof(golden) / sizeof(golden[0]), names.size());
+        for (const Golden& g : golden) {
+            auto app = makeApp(g.app);
+            AppConfig cfg;
+            cfg.seed = 42;
+            cfg.sizeFactor = 0.05;
+            app->init(cfg);
+            Rng rng(42);
+            for (const char* want : g.payloads) {
+                const std::string got = app->genRequest(rng);
+                if (got != want) {
+                    std::fprintf(stderr, "%s payload: got '%s' want '%s'\n",
+                                 g.app, got.c_str(), want);
+                    CHECK(got == want);
+                }
+            }
+        }
     }
 
     // Reproducibility: same TAILBENCH_SEED => identical p95 (and

@@ -1,11 +1,16 @@
-/** Unit tests: core/integrated_harness.cc open-loop behavior and
+/** Unit tests: core/harness.cc result summaries against a sort-based
+ * reference, core/integrated_harness.cc open-loop behavior and
  * core/methodology.cc saturation estimation. */
 
 #include "core/integrated_harness.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/methodology.h"
+#include "util/rng.h"
+#include "util/stats.h"
 
 #include "tests/test_util.h"
 
@@ -13,8 +18,12 @@ using tb::apps::AppConfig;
 using tb::apps::makeApp;
 using tb::core::HarnessConfig;
 using tb::core::IntegratedHarness;
+using tb::core::LatencySummary;
+using tb::core::ResultOptions;
 using tb::core::RequestTiming;
 using tb::core::RunResult;
+using tb::core::summarizeNs;
+using tb::util::Rng;
 
 namespace {
 
@@ -29,11 +38,149 @@ makeTestApp(const std::string& name)
     return app;
 }
 
+/** The sort-based summary the selection replaced: a copy, full sort,
+ * sorted-order double mean and percentileOfSorted. */
+LatencySummary
+referenceSummary(std::vector<int64_t> v)
+{
+    LatencySummary s;
+    s.count = v.size();
+    if (v.empty())
+        return s;
+    std::sort(v.begin(), v.end());
+    s.meanNs = tb::util::meanOf(v);
+    s.p50Ns = tb::util::percentileOfSorted(v, 50.0);
+    s.p95Ns = tb::util::percentileOfSorted(v, 95.0);
+    s.p99Ns = tb::util::percentileOfSorted(v, 99.0);
+    return s;
+}
+
+bool
+sameSummary(const LatencySummary& a, const LatencySummary& b)
+{
+    return a.count == b.count && a.meanNs == b.meanNs &&
+        a.p50Ns == b.p50Ns && a.p95Ns == b.p95Ns && a.p99Ns == b.p99Ns;
+}
+
+/** Reference window split: generation order, one vector per
+ * equal-width window, as buildRunResult computed it before. */
+std::vector<std::vector<int64_t>>
+referenceWindowSojourns(std::vector<RequestTiming> t, size_t nwin)
+{
+    std::sort(t.begin(), t.end(),
+              [](const RequestTiming& a, const RequestTiming& b) {
+                  return a.genNs < b.genNs;
+              });
+    const int64_t first = t.front().genNs;
+    const int64_t span = t.back().genNs - first;
+    if (span <= 0)
+        nwin = 1;
+    std::vector<std::vector<int64_t>> win(nwin);
+    for (const RequestTiming& x : t) {
+        size_t w = 0;
+        const int64_t off = x.genNs - first;
+        if (span > 0 && nwin > 1 && off > 0) {
+            w = static_cast<size_t>(static_cast<__int128>(off) *
+                                    static_cast<__int128>(nwin) / span);
+            w = std::min(w, nwin - 1);
+        }
+        win[w].push_back(x.sojournNs());
+    }
+    return win;
+}
+
+/** Random timings in collection (not generation) order, with ties in
+ * genNs and in every latency, all offset by @p base. */
+std::vector<RequestTiming>
+randomTimings(Rng& rng, size_t n, int64_t base, uint64_t spread)
+{
+    std::vector<RequestTiming> t(n);
+    for (RequestTiming& x : t) {
+        x.genNs = base + static_cast<int64_t>(rng.nextInt(n + 1) * 100);
+        x.startNs = x.genNs + static_cast<int64_t>(rng.nextInt(spread));
+        x.endNs = x.startNs + static_cast<int64_t>(rng.nextInt(spread));
+    }
+    return t;
+}
+
+/** summarizeNs and buildRunResult against the sort-based reference. */
+void
+checkSummariesAgainstReference()
+{
+    Rng rng(5);
+    // summarizeNs: n = 0/1/2, ties, negatives, values near 1e12.
+    for (size_t n : {0, 1, 2, 3, 7, 40, 101, 1000, 5000}) {
+        for (const int64_t base : {int64_t{0}, int64_t{-500000},
+                                   int64_t{1000000000000}}) {
+            for (const uint64_t spread : {uint64_t{4}, uint64_t{1000000}}) {
+                std::vector<int64_t> v(n);
+                for (int64_t& x : v)
+                    x = base + static_cast<int64_t>(rng.nextInt(spread));
+                const std::vector<int64_t> before(v);
+                CHECK(sameSummary(summarizeNs(v), referenceSummary(v)));
+                CHECK(v == before);  // the public overload copies
+            }
+        }
+    }
+
+    // buildRunResult: whole-run summaries, windows and SLO accounting.
+    for (size_t n : {1, 2, 3, 39, 500, 4000}) {
+        for (const int64_t base : {int64_t{0}, int64_t{1000000000000}}) {
+            for (const unsigned windows : {0u, 1u, 7u, 256u}) {
+                const std::vector<RequestTiming> t =
+                    randomTimings(rng, n, base, n % 2 ? 5 : 20000);
+                std::vector<int64_t> soj, que, svc;
+                for (const RequestTiming& x : t) {
+                    soj.push_back(x.sojournNs());
+                    que.push_back(x.queueNs());
+                    svc.push_back(x.serviceNs());
+                }
+                ResultOptions opts;
+                opts.windows = windows;
+                opts.sloTargetNs =
+                    std::max<int64_t>(1, referenceSummary(soj).p50Ns);
+                const RunResult r =
+                    tb::core::buildRunResult(std::vector(t), opts);
+                CHECK(sameSummary(r.latency.sojourn, referenceSummary(soj)));
+                CHECK(sameSummary(r.latency.queueing,
+                                  referenceSummary(que)));
+                CHECK(sameSummary(r.latency.service, referenceSummary(svc)));
+
+                const auto win =
+                    referenceWindowSojourns(t, r.windows.size());
+                CHECK_EQ(win.size(), r.windows.size());
+                for (size_t w = 0; w < r.windows.size() && w < win.size();
+                     w++) {
+                    const tb::core::WindowStats& ws = r.windows[w];
+                    const LatencySummary ref = referenceSummary(win[w]);
+                    CHECK_EQ(ws.count, ref.count);
+                    CHECK_EQ(ws.sojournP50Ns, ref.p50Ns);
+                    CHECK_EQ(ws.sojournP95Ns, ref.p95Ns);
+                    CHECK_EQ(ws.sojournP99Ns, ref.p99Ns);
+                    if (ref.count > 0) {
+                        const auto met = std::count_if(
+                            win[w].begin(), win[w].end(), [&](int64_t x) {
+                                return x <= opts.sloTargetNs;
+                            });
+                        CHECK_EQ(ws.sloFrac,
+                                 static_cast<double>(met) /
+                                     static_cast<double>(ref.count));
+                    } else {
+                        CHECK_EQ(ws.sloFrac, -1.0);
+                    }
+                }
+            }
+        }
+    }
+}
+
 }  // namespace
 
 int
 main()
 {
+    checkSummariesAgainstReference();
+
     auto app = makeTestApp("img-dnn");
     IntegratedHarness harness;
     CHECK(harness.configName() == std::string("integrated"));
