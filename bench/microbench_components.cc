@@ -14,6 +14,8 @@
 #include "apps/common/bptree.h"
 #include "core/harness.h"
 #include "core/request_queue.h"
+#include "sim/cache.h"
+#include "sim/trace_gen.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/zipf.h"
@@ -167,6 +169,67 @@ BM_BuildRunResult(benchmark::State& state)
                             static_cast<int64_t>(kTimings));
 }
 BENCHMARK(BM_BuildRunResult)->Unit(benchmark::kMillisecond);
+
+/** CacheHierarchy::access on the default machine, per access: a hot
+ * L1I hit (the structural trace's dominant case), a random L1D hit
+ * over a set-filling working set, and a streaming access that misses
+ * to memory (L3 fill, eviction and back-invalidation probes). */
+void
+BM_CacheAccess(benchmark::State& state)
+{
+    static const char* labels[] = {"l1i_hot_hit", "l1d_random_hit",
+                                   "miss_to_memory"};
+    const int mode = static_cast<int>(state.range(0));
+    sim::CacheHierarchy h(sim::MachineConfig{});
+    constexpr uint64_t kLine = sim::kCacheLineBytes;
+    if (mode == 0) {
+        const uint64_t pc = 0x1000;
+        h.access(pc, sim::AccessKind::kIfetch);
+        for (auto _ : state)
+            benchmark::DoNotOptimize(h.access(pc, sim::AccessKind::kIfetch));
+    } else if (mode == 1) {
+        // 512 consecutive lines fill the 64x8 L1D exactly.
+        constexpr uint64_t kLines = 512;
+        for (uint64_t l = 0; l < kLines; l++)
+            h.access(l * kLine, sim::AccessKind::kData);
+        std::vector<uint64_t> addrs(4096);
+        util::Rng rng(12);
+        for (uint64_t& a : addrs)
+            a = rng.nextInt(kLines) * kLine;
+        size_t i = 0;
+        for (auto _ : state) {
+            benchmark::DoNotOptimize(
+                h.access(addrs[i], sim::AccessKind::kData));
+            i = (i + 1) & (addrs.size() - 1);
+        }
+    } else {
+        // Fill the L3 first so every timed access also evicts.
+        uint64_t line = 0;
+        const uint64_t l3_lines =
+            sim::HierarchyConfig::fromMachine(sim::MachineConfig{})
+                .l3.lines();
+        for (; line < l3_lines; line++)
+            h.access(line * kLine, sim::AccessKind::kData);
+        for (auto _ : state)
+            benchmark::DoNotOptimize(
+                h.access(line++ * kLine, sim::AccessKind::kData));
+    }
+    state.SetLabel(labels[mode]);
+}
+BENCHMARK(BM_CacheAccess)->DenseRange(0, 2);
+
+/** One structural MPKI measurement (calibration plus a 500 + 1500
+ * kilo-instruction run) on xapian's profile; items are
+ * kilo-instructions of the final run. */
+void
+BM_MeasureTraceMpki(benchmark::State& state)
+{
+    const apps::AppProfile p = apps::makeApp("xapian")->profile();
+    for (auto _ : state)
+        benchmark::DoNotOptimize(sim::measureTraceMpki(p, 42, 500, 1500));
+    state.SetItemsProcessed(state.iterations() * 2000);
+}
+BENCHMARK(BM_MeasureTraceMpki)->Unit(benchmark::kMillisecond);
 
 /** Per-application request processing cost (integrated-config hot path).
  * Apps use small datasets so fixture setup stays quick; relative

@@ -1,15 +1,12 @@
 #include "sim/cache.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 namespace tb::sim {
 
 namespace {
-
-/** Stream id lives in the key's top byte; set indexing masks it off
- * so all streams share the same sets. */
-constexpr unsigned kStreamShift = 56;
-constexpr uint64_t kAddrMask = (1ull << kStreamShift) - 1;
 
 /** RRPV width 2: 0 = near re-reference, 3 = distant (victim). */
 constexpr uint8_t kRrpvMax = 3;
@@ -24,30 +21,36 @@ constexpr int32_t kPselInit = 512;
 /** BRRIP inserts at distant RRPV except every 32nd fill. */
 constexpr uint32_t kBrripNearEvery = 32;
 
+const CacheGeometry&
+checkedGeometry(const CacheGeometry& geo)
+{
+    if (geo.sets == 0 || geo.ways == 0) {
+        throw std::invalid_argument(
+            "SetAssocCache: geometry needs at least one set and one way "
+            "(sets=" + std::to_string(geo.sets) +
+            " ways=" + std::to_string(geo.ways) + ")");
+    }
+    return geo;
+}
+
 }  // namespace
 
 SetAssocCache::SetAssocCache(const CacheGeometry& geo, ReplPolicy policy)
-    : geo_(geo), policy_(policy),
-      lines_(static_cast<size_t>(geo.sets) * geo.ways),
-      psel_(kPselInit)
+    : geo_(checkedGeometry(geo)), policy_(policy),
+      pow2Sets_((geo.sets & (geo.sets - 1)) == 0),
+      keys_(geo.lines()), valid_(geo.lines()), rrpv_(geo.lines()),
+      ticks_(geo.lines()), psel_(kPselInit)
 {
 }
 
-uint32_t
-SetAssocCache::setOf(uint64_t key) const
+void
+SetAssocCache::reset()
 {
-    return static_cast<uint32_t>((key & kAddrMask) % geo_.sets);
-}
-
-SetAssocCache::Line*
-SetAssocCache::find(uint64_t key)
-{
-    Line* set = &lines_[static_cast<size_t>(setOf(key)) * geo_.ways];
-    for (uint32_t w = 0; w < geo_.ways; w++) {
-        if (set[w].valid && set[w].key == key)
-            return &set[w];
-    }
-    return nullptr;
+    std::fill(valid_.begin(), valid_.end(), uint8_t{0});
+    counters_ = LevelCounters{};
+    tick_ = 0;
+    brripCtr_ = 0;
+    psel_ = kPselInit;
 }
 
 ReplPolicy
@@ -66,54 +69,53 @@ SetAssocCache::setPolicy(uint32_t set) const
     return psel_ < kPselInit ? ReplPolicy::kSrrip : ReplPolicy::kBrrip;
 }
 
-bool
-SetAssocCache::lookup(uint64_t key)
+void
+SetAssocCache::voteMiss(uint32_t set)
 {
-    counters_.accesses++;
-    if (Line* line = find(key)) {
-        line->rrpv = 0;
-        line->lruTick = ++tick_;
-        return true;
-    }
-    counters_.misses++;
     // Leader-set misses steer the dueling selector: a miss under a
     // leader's policy is a vote against it.
-    if (policy_ == ReplPolicy::kDrrip && geo_.sets >= kDuelMod) {
-        const uint32_t set = setOf(key);
-        if (set % kDuelMod == 0)
-            psel_ = std::min(psel_ + 1, kPselMax);
-        else if (set % kDuelMod == 1)
-            psel_ = std::max(psel_ - 1, 0);
-    }
-    return false;
+    if (geo_.sets < kDuelMod)
+        return;
+    if (set % kDuelMod == 0)
+        psel_ = std::min(psel_ + 1, kPselMax);
+    else if (set % kDuelMod == 1)
+        psel_ = std::max(psel_ - 1, 0);
 }
 
 uint32_t
 SetAssocCache::victimWay(uint32_t set, ReplPolicy policy)
 {
-    Line* s = &lines_[static_cast<size_t>(set) * geo_.ways];
+    const size_t base = static_cast<size_t>(set) * geo_.ways;
+    const uint8_t* valid = &valid_[base];
     for (uint32_t w = 0; w < geo_.ways; w++) {
-        if (!s[w].valid)
+        if (!valid[w])
             return w;
     }
     if (policy == ReplPolicy::kLru) {
+        const uint64_t* ticks = &ticks_[base];
         uint32_t victim = 0;
         for (uint32_t w = 1; w < geo_.ways; w++) {
-            if (s[w].lruTick < s[victim].lruTick)
+            if (ticks[w] < ticks[victim])
                 victim = w;
         }
         return victim;
     }
     // RRIP: evict the first distant line, aging the whole set until
-    // one exists (bounded: each pass raises the max RRPV).
-    for (;;) {
-        for (uint32_t w = 0; w < geo_.ways; w++) {
-            if (s[w].rrpv >= kRrpvMax)
-                return w;
-        }
-        for (uint32_t w = 0; w < geo_.ways; w++)
-            s[w].rrpv++;
+    // one exists. Aging is uniform, so the passes collapse into one
+    // step: the first way holding the set's highest RRPV wins, and
+    // every line ages by that way's distance to kRrpvMax.
+    uint8_t* rrpv = &rrpv_[base];
+    uint32_t victim = 0;
+    for (uint32_t w = 0; w < geo_.ways; w++) {
+        if (rrpv[w] >= kRrpvMax)
+            return w;
+        if (rrpv[w] > rrpv[victim])
+            victim = w;
     }
+    const uint8_t age = static_cast<uint8_t>(kRrpvMax - rrpv[victim]);
+    for (uint32_t w = 0; w < geo_.ways; w++)
+        rrpv[w] = static_cast<uint8_t>(rrpv[w] + age);
+    return victim;
 }
 
 bool
@@ -121,24 +123,24 @@ SetAssocCache::insert(uint64_t key, uint64_t* evicted)
 {
     const uint32_t set = setOf(key);
     const ReplPolicy policy = setPolicy(set);
-    const uint32_t way = victimWay(set, policy);
-    Line& line = lines_[static_cast<size_t>(set) * geo_.ways + way];
-    const bool had = line.valid;
+    const size_t i =
+        static_cast<size_t>(set) * geo_.ways + victimWay(set, policy);
+    const bool had = valid_[i] != 0;
     if (had && evicted != nullptr)
-        *evicted = line.key;
-    line.key = key;
-    line.valid = true;
-    line.lruTick = ++tick_;
+        *evicted = keys_[i];
+    keys_[i] = key;
+    valid_[i] = 1;
+    ticks_[i] = ++tick_;
     switch (policy) {
     case ReplPolicy::kLru:
-        line.rrpv = 0;
+        rrpv_[i] = 0;
         break;
     case ReplPolicy::kSrrip:
-        line.rrpv = kRrpvLong;
+        rrpv_[i] = kRrpvLong;
         break;
     case ReplPolicy::kBrrip:
     case ReplPolicy::kDrrip:  // only via setPolicy's follower verdict
-        line.rrpv =
+        rrpv_[i] =
             (++brripCtr_ % kBrripNearEvery == 0) ? kRrpvLong : kRrpvMax;
         break;
     }
@@ -148,23 +150,17 @@ SetAssocCache::insert(uint64_t key, uint64_t* evicted)
 bool
 SetAssocCache::invalidate(uint64_t key)
 {
-    if (Line* line = find(key)) {
-        line->valid = false;
-        return true;
-    }
-    return false;
+    const size_t i = find(setOf(key), key);
+    if (i == kNone)
+        return false;
+    valid_[i] = 0;
+    return true;
 }
 
 bool
 SetAssocCache::contains(uint64_t key) const
 {
-    const Line* set =
-        &lines_[static_cast<size_t>(setOf(key)) * geo_.ways];
-    for (uint32_t w = 0; w < geo_.ways; w++) {
-        if (set[w].valid && set[w].key == key)
-            return true;
-    }
-    return false;
+    return find(setOf(key), key) != kNone;
 }
 
 HierarchyConfig
@@ -183,6 +179,14 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& cfg,
                                unsigned streams)
     : l3_(cfg.l3, cfg.l3Policy)
 {
+    if (streams > kMaxStreams) {
+        // lineKey keeps one byte of stream id: stream 256 would alias
+        // stream 0 and back-invalidate its private levels.
+        throw std::invalid_argument(
+            "CacheHierarchy: " + std::to_string(streams) +
+            " streams exceeds the " + std::to_string(kMaxStreams) +
+            " a line key can name");
+    }
     if (streams == 0)
         streams = 1;
     streams_.reserve(streams);
@@ -194,22 +198,10 @@ CacheHierarchy::CacheHierarchy(const HierarchyConfig& cfg,
     }
 }
 
-uint64_t
-CacheHierarchy::lineKey(uint64_t addr, unsigned stream)
-{
-    return ((addr / kCacheLineBytes) & kAddrMask) |
-        (static_cast<uint64_t>(stream & 0xff) << kStreamShift);
-}
-
 int
-CacheHierarchy::access(uint64_t addr, AccessKind kind, unsigned stream)
+CacheHierarchy::accessBelowL1(uint64_t key, SetAssocCache& l1,
+                              PerStream& ps)
 {
-    const uint64_t key = lineKey(addr, stream);
-    PerStream& ps = streams_[stream];
-    SetAssocCache& l1 = kind == AccessKind::kIfetch ? ps.l1i : ps.l1d;
-    if (l1.lookup(key))
-        return 1;
-
     int level;
     if (ps.l2.lookup(key)) {
         level = 2;
@@ -246,6 +238,18 @@ CacheHierarchy::resetCounters()
         ps.l2.resetCounters();
     }
     l3_.resetCounters();
+    back_invals_ = 0;
+}
+
+void
+CacheHierarchy::reset()
+{
+    for (PerStream& ps : streams_) {
+        ps.l1i.reset();
+        ps.l1d.reset();
+        ps.l2.reset();
+    }
+    l3_.reset();
     back_invals_ = 0;
 }
 

@@ -32,6 +32,20 @@
  * a counter, not a coin), so a fixed access sequence yields bit-equal
  * counters run after run.
  *
+ * Tag store. Each SetAssocCache keeps its lines as a structure of
+ * arrays: parallel keys_ / valid_ / rrpv_ / ticks_ vectors indexed by
+ * set * ways + way. A probe scans only the set's keys (64 B for 8
+ * ways, 128 B for the L3's 16) and touches the other arrays only on
+ * a match or a fill.
+ *
+ * Hot/cold split. The hit path is inline in this header: lineKey,
+ * setOf (a mask when the set count is a power of two, as for the
+ * L1s and L2; an exact % otherwise, as for the 20480-set L3), find,
+ * SetAssocCache::lookup's hit branch and CacheHierarchy::access's L1
+ * check. Everything that only runs on a miss stays out of line in
+ * cache.cc: the DRRIP PSEL vote, the L2/L3 walk, victim selection,
+ * the fills and inclusion back-invalidation.
+ *
  * MachineConfig coupling: the structural pass reads ONLY llcMb (L3
  * ways and sets derive from it; see HierarchyConfig::fromMachine).
  * The hit latencies, DRAM parameters, freqGhz, idealMemory, and the
@@ -40,6 +54,7 @@
  * them.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -48,6 +63,11 @@
 namespace tb::sim {
 
 inline constexpr uint32_t kCacheLineBytes = 64;
+
+/** Stream id lives in a line key's top byte; set indexing masks it
+ * off so all streams share the same sets. */
+inline constexpr unsigned kStreamShift = 56;
+inline constexpr uint64_t kAddrMask = (1ull << kStreamShift) - 1;
 
 enum class ReplPolicy { kLru, kSrrip, kBrrip, kDrrip };
 
@@ -73,6 +93,8 @@ struct CacheGeometry {
  */
 class SetAssocCache {
   public:
+    /** Throws std::invalid_argument when @p geo has no sets or no
+     * ways. */
     SetAssocCache(const CacheGeometry& geo, ReplPolicy policy);
 
     /**
@@ -80,7 +102,21 @@ class SetAssocCache {
      * Returns true on hit. On a miss the caller decides whether to
      * insert() (demand fill) — lookup itself allocates nothing.
      */
-    bool lookup(uint64_t key);
+    bool lookup(uint64_t key)
+    {
+        counters_.accesses++;
+        const uint32_t set = setOf(key);
+        const size_t i = find(set, key);
+        if (i != kNone) {
+            rrpv_[i] = 0;
+            ticks_[i] = ++tick_;
+            return true;
+        }
+        counters_.misses++;
+        if (policy_ == ReplPolicy::kDrrip)
+            voteMiss(set);
+        return false;
+    }
 
     /**
      * Fills @p key (which must not be resident). If a valid line had
@@ -98,25 +134,50 @@ class SetAssocCache {
     const LevelCounters& counters() const { return counters_; }
     void resetCounters() { counters_ = LevelCounters{}; }
 
+    /** Back to the freshly constructed state: every line invalid,
+     * counters, recency clock, BRRIP counter and PSEL at their
+     * initial values. */
+    void reset();
+
     uint32_t sets() const { return geo_.sets; }
     uint32_t ways() const { return geo_.ways; }
 
   private:
-    struct Line {
-        uint64_t key = 0;
-        bool valid = false;
-        uint8_t rrpv = 0;
-        uint64_t lruTick = 0;
-    };
+    static constexpr size_t kNone = ~size_t{0};
 
-    uint32_t setOf(uint64_t key) const;
-    Line* find(uint64_t key);
+    uint32_t setOf(uint64_t key) const
+    {
+        const uint64_t addr = key & kAddrMask;
+        return static_cast<uint32_t>(pow2Sets_ ? addr & (geo_.sets - 1)
+                                               : addr % geo_.sets);
+    }
+
+    /** Index of @p key's valid line in @p set, or kNone. */
+    size_t find(uint32_t set, uint64_t key) const
+    {
+        const size_t base = static_cast<size_t>(set) * geo_.ways;
+        for (size_t i = base; i < base + geo_.ways; i++) {
+            if (keys_[i] == key && valid_[i])
+                return i;
+        }
+        return kNone;
+    }
+
+    void voteMiss(uint32_t set);
     ReplPolicy setPolicy(uint32_t set) const;
     uint32_t victimWay(uint32_t set, ReplPolicy policy);
 
     CacheGeometry geo_;
     ReplPolicy policy_;
-    std::vector<Line> lines_;
+    /** Set index by mask (L1s, L2) instead of by % (the L3). */
+    bool pow2Sets_;
+    // Structure-of-arrays tag store, index set * ways + way. Only
+    // valid_ is meaningful for an invalid line: insert() writes all
+    // four fields, so reset() clears valid_ alone.
+    std::vector<uint64_t> keys_;
+    std::vector<uint8_t> valid_;
+    std::vector<uint8_t> rrpv_;
+    std::vector<uint64_t> ticks_;
     LevelCounters counters_;
     uint64_t tick_ = 0;
     /** Deterministic stand-in for BRRIP's 1/32 coin. */
@@ -148,6 +209,11 @@ struct HierarchyConfig {
  */
 class CacheHierarchy {
   public:
+    /** Stream ids occupy one key byte. */
+    static constexpr unsigned kMaxStreams = 256;
+
+    /** Throws std::invalid_argument for more than kMaxStreams
+     * streams or a level with no sets or ways; 0 streams means 1. */
     explicit CacheHierarchy(const HierarchyConfig& cfg,
                             unsigned streams = 1);
     explicit CacheHierarchy(const MachineConfig& m,
@@ -156,7 +222,15 @@ class CacheHierarchy {
     {
     }
 
-    int access(uint64_t addr, AccessKind kind, unsigned stream = 0);
+    int access(uint64_t addr, AccessKind kind, unsigned stream = 0)
+    {
+        const uint64_t key = lineKey(addr, stream);
+        PerStream& ps = streams_[stream];
+        SetAssocCache& l1 = kind == AccessKind::kIfetch ? ps.l1i : ps.l1d;
+        if (l1.lookup(key))
+            return 1;
+        return accessBelowL1(key, l1, ps);
+    }
 
     const LevelCounters& l1i(unsigned stream = 0) const
     {
@@ -183,8 +257,16 @@ class CacheHierarchy {
 
     void resetCounters();
 
+    /** Back to the freshly constructed state (every level reset(),
+     * back-invalidation count zeroed) without reallocating. */
+    void reset();
+
     /** Line key for (byte address, stream) — exposed for tests. */
-    static uint64_t lineKey(uint64_t addr, unsigned stream);
+    static uint64_t lineKey(uint64_t addr, unsigned stream)
+    {
+        return ((addr / kCacheLineBytes) & kAddrMask) |
+            (static_cast<uint64_t>(stream & 0xff) << kStreamShift);
+    }
 
   private:
     struct PerStream {
@@ -192,6 +274,9 @@ class CacheHierarchy {
         SetAssocCache l1d;
         SetAssocCache l2;
     };
+
+    /** The L1 missed: L2/L3 walk, fills, back-invalidation. */
+    int accessBelowL1(uint64_t key, SetAssocCache& l1, PerStream& ps);
 
     std::vector<PerStream> streams_;
     SetAssocCache l3_;

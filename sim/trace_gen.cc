@@ -61,6 +61,16 @@ rescale(double rate, double target, double measured)
     return std::min(rate * f, kMaxRatePerKi);
 }
 
+/** Same value and the same single draw as rng.nextInt(lines) (which
+ * is next() % lines), with a mask instead of a division when @p lines
+ * is a power of two. @p lines is never 0. */
+uint64_t
+uniformLine(util::Rng& rng, uint64_t lines)
+{
+    const uint64_t r = rng.next();
+    return (lines & (lines - 1)) == 0 ? r & (lines - 1) : r % lines;
+}
+
 /** Largest step below the golden fraction of @p lines that is
  * coprime with it — a full-period low-discrepancy walk. */
 uint64_t
@@ -136,6 +146,19 @@ TraceGenerator::run(CacheHierarchy& h, uint64_t kiloInstr)
     const double data_per_instr =
         (r_hot + r_l2 + r_l3 + r_mem) / 1000.0;
     const double total = r_hot + r_l2 + r_l3 + r_mem;
+    const double cold_per_ki = params_.ifetchColdPerKi;
+
+    // Walker state lives in locals for the loop and is written back
+    // at the end: every access() may call out of line on a miss, and
+    // members would have to be reloaded after each one.
+    util::Rng ifetch_rng = ifetch_rng_;
+    util::Rng data_rng = data_rng_;
+    util::Rng pos_rng = pos_rng_;
+    uint64_t hot_pc = hot_pc_;
+    uint64_t cold_idx = cold_idx_;
+    uint64_t l3_idx = l3_idx_;
+    uint64_t mem_pos = mem_pos_;
+    double data_carry = data_carry_;
 
     for (uint64_t i = 0; i < n; i++) {
         // Instruction fetch: hot loop, or a cold conflict-region
@@ -143,56 +166,68 @@ TraceGenerator::run(CacheHierarchy& h, uint64_t kiloInstr)
         // different sets, revisiting each set only after all its
         // rows).
         uint64_t addr;
-        if (ifetch_rng_.nextDouble() * 1000.0 <
-            params_.ifetchColdPerKi) {
-            cold_idx_++;
-            if (cold_idx_ >= cold_cols_ * cold_rows_)
-                cold_idx_ = 0;
-            const uint64_t col = cold_idx_ % cold_cols_;
-            const uint64_t row = cold_idx_ / cold_cols_;
+        if (ifetch_rng.nextDouble() * 1000.0 < cold_per_ki) {
+            cold_idx++;
+            if (cold_idx >= cold_cols_ * cold_rows_)
+                cold_idx = 0;
+            const uint64_t col = cold_idx % cold_cols_;
+            const uint64_t row = cold_idx / cold_cols_;
             addr = kColdCodeBase +
                 (col + row * cold_row_stride_) * kCacheLineBytes;
         } else {
-            hot_pc_++;
-            if (hot_pc_ >= hot_code_lines_ * kInstrPerLine)
-                hot_pc_ = 0;
+            hot_pc++;
+            if (hot_pc >= hot_code_lines_ * kInstrPerLine)
+                hot_pc = 0;
             addr = kHotCodeBase +
-                (hot_pc_ / kInstrPerLine) * kCacheLineBytes;
+                (hot_pc / kInstrPerLine) * kCacheLineBytes;
         }
         st.ifetchAtLevel[h.access(addr, AccessKind::kIfetch,
                                   stream_)]++;
 
         // Data accesses at the summed rate; region picked by weight.
-        data_carry_ += data_per_instr;
-        while (data_carry_ >= 1.0) {
-            data_carry_ -= 1.0;
+        data_carry += data_per_instr;
+        while (data_carry >= 1.0) {
+            data_carry -= 1.0;
             if (total < kEps)
                 continue;
-            const double pick = data_rng_.nextDouble() * total;
+            const double pick = data_rng.nextDouble() * total;
             uint64_t daddr;
             if (pick < r_hot) {
                 daddr = kHotDataBase +
-                    pos_rng_.nextInt(hot_data_lines_) *
+                    uniformLine(pos_rng, hot_data_lines_) *
                         kCacheLineBytes;
             } else if (pick < r_hot + r_l2) {
                 daddr = kL2DataBase +
-                    pos_rng_.nextInt(l2_lines_) * kCacheLineBytes;
+                    uniformLine(pos_rng, l2_lines_) * kCacheLineBytes;
             } else if (pick < r_hot + r_l2 + r_l3) {
-                l3_idx_++;
-                if (l3_idx_ >= l3_cols_ * l3_rows_)
-                    l3_idx_ = 0;
-                const uint64_t col = l3_idx_ % l3_cols_;
-                const uint64_t row = l3_idx_ / l3_cols_;
+                l3_idx++;
+                if (l3_idx >= l3_cols_ * l3_rows_)
+                    l3_idx = 0;
+                const uint64_t col = l3_idx % l3_cols_;
+                const uint64_t row = l3_idx / l3_cols_;
                 daddr = kL3DataBase +
                     (col + row * l3_row_stride_) * kCacheLineBytes;
             } else {
-                mem_pos_ = (mem_pos_ + mem_stride_) % mem_lines_;
-                daddr = kMemDataBase + mem_pos_ * kCacheLineBytes;
+                // Both terms are below mem_lines_, so one subtract
+                // is the exact modulo.
+                mem_pos += mem_stride_;
+                if (mem_pos >= mem_lines_)
+                    mem_pos -= mem_lines_;
+                daddr = kMemDataBase + mem_pos * kCacheLineBytes;
             }
             st.dataAtLevel[h.access(daddr, AccessKind::kData,
                                     stream_)]++;
         }
     }
+
+    ifetch_rng_ = ifetch_rng;
+    data_rng_ = data_rng;
+    pos_rng_ = pos_rng;
+    hot_pc_ = hot_pc;
+    cold_idx_ = cold_idx;
+    l3_idx_ = l3_idx;
+    mem_pos_ = mem_pos;
+    data_carry_ = data_carry;
     return st;
 }
 
@@ -229,10 +264,14 @@ measureTraceMpki(const apps::AppProfile& profile, uint64_t seed,
     // Fixed-point calibration on short windows.
     const uint64_t cal_warm = std::min(warmupKi, kCalWarmKiCap);
     const uint64_t cal_meas = std::min(measuredKi, kCalMeasKiCap);
+    // One hierarchy serves every calibration window and the final
+    // run; reset() restores its freshly built state without
+    // reallocating the ~6 MB L3 tag store.
+    CacheHierarchy h(geo);
     int iters = 0;
     if (!all_zero && cal_meas > 0) {
         for (iters = 1; iters <= kMaxIters; iters++) {
-            CacheHierarchy h(geo);
+            h.reset();
             TraceGenerator g(params, seed, geo);
             g.run(h, cal_warm);
             const TraceStats st = g.run(h, cal_meas);
@@ -264,7 +303,7 @@ measureTraceMpki(const apps::AppProfile& profile, uint64_t seed,
     }
 
     // Fresh warmup + measured run at the calibrated parameters.
-    CacheHierarchy h(geo);
+    h.reset();
     TraceGenerator g(params, seed, geo);
     g.run(h, warmupKi);
     h.resetCounters();

@@ -5,6 +5,7 @@
 
 #include "sim/trace_gen.h"
 
+#include <cstring>
 #include <string>
 
 #include "apps/common/app.h"
@@ -119,6 +120,65 @@ testZeroWindowIsSafe()
     CHECK_EQ(m.l1d, 0.0);
 }
 
+
+uint64_t
+bitsOf(double d)
+{
+    uint64_t u;
+    std::memcpy(&u, &d, sizeof u);
+    return u;
+}
+
+void
+testGoldenMpkiAllApps()
+{
+    // measureTraceMpki(profile, 42, 500, 1500) for every app, pinned
+    // to exact double bit patterns: the structural model is
+    // deterministic, so any change to the tag store, the replacement
+    // rules or the trace walk that moves a single event shows here.
+    struct Golden {
+        const char* app;
+        uint64_t l1i, l1d, l2, l3;
+        int iterations;
+        bool converged;
+    };
+    const Golden golden[] = {
+        {"xapian", 0x402665604189374cull, 0x4019756b2dbd1942ull,
+         0x400196de8ca11bfdull, 0x3fa374bc6a7ef9dbull, 2, true},
+        {"masstree", 0x3fd2e6bdc805761aull, 0x40383d9c54a69217ull,
+         0x4030ce5604189375ull, 0x40215916872b020cull, 2, true},
+        {"moses", 0x4028d194237fa89eull, 0x4039f56b2dbd1942ull,
+         0x403798bf258bf259ull, 0x4033f46508dfea28ull, 2, true},
+        {"sphinx", 0x40066bdc8057619full, 0x40330da740da740eull,
+         0x402d5d2f1a9fbe77ull, 0x40238263ab596de9ull, 2, true},
+        {"img-dnn", 0x3fb9f0fb38a94d24ull, 0x403c8b9af72015d8ull,
+         0x4035108dfea27984ull, 0x3ff8444444444444ull, 2, true},
+        {"specjbb", 0x403132015d867c3full, 0x4024dcd7b900aec3ull,
+         0x401053f7ced91687ull, 0x3fed4a6921735ee4ull, 2, true},
+        {"silo", 0x401399999999999aull, 0x4024e4b17e4b17e5ull,
+         0x4011846ff513cc1eull, 0x400599999999999aull, 2, true},
+        {"shore", 0x402c63ab596de8caull, 0x4028f8263ab596dfull,
+         0x401e85cd7b900aecull, 0x400913cc1e098eadull, 2, true},
+    };
+    CHECK_EQ(sizeof(golden) / sizeof(golden[0]),
+             tb::apps::appNames().size());
+    for (const Golden& g : golden) {
+        const AppProfile p = tb::apps::makeApp(g.app)->profile();
+        const MeasuredMpki m = measureTraceMpki(p, 42, 500, 1500);
+        const bool same = bitsOf(m.l1i) == g.l1i &&
+            bitsOf(m.l1d) == g.l1d && bitsOf(m.l2) == g.l2 &&
+            bitsOf(m.l3) == g.l3 && m.iterations == g.iterations &&
+            m.converged == g.converged && m.instructions == 1500000u;
+        if (!same) {
+            std::fprintf(stderr,
+                         "%s: got {%a, %a, %a, %a, %d, %d}\n", g.app,
+                         m.l1i, m.l1d, m.l2, m.l3, m.iterations,
+                         m.converged ? 1 : 0);
+        }
+        CHECK(same);
+    }
+}
+
 }  // namespace
 
 int
@@ -129,5 +189,6 @@ main()
     testAllZeroProfileTerminates();
     testNonMonotoneChainTerminates();
     testZeroWindowIsSafe();
+    testGoldenMpkiAllApps();
     return TEST_MAIN_RESULT();
 }
