@@ -190,36 +190,21 @@ class Reactor {
         wake();
     }
 
-    void
-    postResponse(const core::Response& resp)
-    {
-        postResponseRun(&resp, 1);
-    }
-
     /**
-     * Hot path, called from any service-worker thread with a run of
-     * @p n responses that all belong to the same connection
-     * (rs[0].ctx). The run is encoded into per-thread reusable
-     * storage and, with no write backlog, sent inline right here as
-     * ONE send() — the steady-state cycle costs the worker one map
+     * Hot path, called from any service-worker thread with @p len
+     * bytes holding @p n encoded response frames that all belong to
+     * connection @p serial (TcpServer::sendResponseRun encodes the
+     * run). With no write backlog the run is sent inline right here
+     * as ONE send() — the steady-state cycle costs the worker one map
      * lookup, one uncontended mutex and one write syscall for the
      * whole run, and wakes the loop thread not at all. The loop is
      * woken only to continue a partial write under EPOLLOUT or to
      * close a drained read-closed connection.
      */
     void
-    postResponseRun(const core::Response* rs, size_t n)
+    sendEncoded(uint64_t serial, const uint8_t* bytes, size_t total,
+                size_t n)
     {
-        // Reused per worker thread: steady state encodes into
-        // already-grown storage, no allocation per run.
-        static thread_local std::vector<uint8_t> t_enc;
-        const size_t total = n * kResponseFrameBytes;
-        if (t_enc.size() < total)
-            t_enc.resize(total);
-        for (size_t i = 0; i < n; i++)
-            encodeResponseFrame(t_enc.data() + i * kResponseFrameBytes,
-                                rs[i]);
-        const uint64_t serial = rs[0].ctx;
         std::shared_ptr<RConn> c;
         {
             util::MutexLock lock(conns_mu_);
@@ -243,9 +228,9 @@ class Reactor {
                     c->out_head = 0;
                     size_t sent = 0;
                     while (sent < total) {
-                        const ssize_t w = ::send(
-                            c->fd, t_enc.data() + sent, total - sent,
-                            MSG_NOSIGNAL);
+                        const ssize_t w =
+                            ::send(c->fd, bytes + sent, total - sent,
+                                   MSG_NOSIGNAL);
                         util::probe::add(util::probe::kRespWrites);
                         if (w > 0) {
                             sent += static_cast<size_t>(w);
@@ -259,15 +244,13 @@ class Reactor {
                         break;
                     }
                     if (sent < total) {
-                        c->out.insert(c->out.end(),
-                                      t_enc.data() + sent,
-                                      t_enc.data() + total);
+                        c->out.insert(c->out.end(), bytes + sent,
+                                      bytes + total);
                         need_notify = true;
                     }
                 } else {
                     // Backlog exists: order the run behind it.
-                    c->out.insert(c->out.end(), t_enc.data(),
-                                  t_enc.data() + total);
+                    c->out.insert(c->out.end(), bytes, bytes + total);
                     need_notify = true;
                 }
             }
@@ -976,34 +959,13 @@ ReactorPool::dispatch(int fd)
 }
 
 void
-ReactorPool::postResponse(const core::Response& resp)
+ReactorPool::sendEncoded(uint64_t serial, const uint8_t* bytes,
+                         size_t len, size_t frames)
 {
     if (reactors_.empty())
         return;
-    reactors_[resp.ctx % reactors_.size()]->postResponse(resp);
-}
-
-void
-ReactorPool::postResponseBatch(std::vector<core::Response>& resps)
-{
-    if (reactors_.empty()) {
-        resps.clear();
-        return;
-    }
-    // Contiguous same-connection runs coalesce into one encode + one
-    // send(); worker batches come from per-connection read windows,
-    // so in practice a batch is usually one run.
-    const size_t total = resps.size();
-    size_t run_start = 0;
-    for (size_t i = 1; i <= total; i++) {
-        if (i < total && resps[i].ctx == resps[run_start].ctx)
-            continue;
-        const uint64_t ctx = resps[run_start].ctx;
-        reactors_[ctx % reactors_.size()]->postResponseRun(
-            &resps[run_start], i - run_start);
-        run_start = i;
-    }
-    resps.clear();
+    reactors_[serial % reactors_.size()]->sendEncoded(serial, bytes, len,
+                                                      frames);
 }
 
 void

@@ -22,14 +22,15 @@
  *                 connection serial (one queue lock, at most one
  *                 wakeup, for the whole window), so the ServiceLoop
  *                 workers and every harness run unchanged on top.
- *                 Responses are encoded as fixed-size frames into
- *                 per-thread reusable storage and sent *inline from
- *                 the service-worker thread* under a per-connection
- *                 write mutex — a whole batch of same-connection
- *                 responses coalesces into a single send() — so
- *                 saturation throughput does not pay an extra wakeup
- *                 or a syscall per response. Only a partial write
- *                 falls back to the owning reactor for EPOLLOUT
+ *                 Responses take TcpServer's one response path: it
+ *                 splits a worker batch into same-connection runs and
+ *                 encodes each run once into per-thread reusable
+ *                 storage; sendEncoded then sends those bytes *inline
+ *                 from the service-worker thread* under a
+ *                 per-connection write mutex — one send() per run —
+ *                 so saturation throughput does not pay an extra
+ *                 wakeup or a syscall per response. Only a partial
+ *                 write falls back to the owning reactor for EPOLLOUT
  *                 continuation: what the socket will not take now
  *                 waits in the connection's output ring.
  *
@@ -53,12 +54,12 @@
  */
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "core/sharded_port.h"
-#include "core/transport.h"
 
 namespace tb::net {
 
@@ -92,8 +93,8 @@ class Reactor;
 /**
  * The fixed set of event-loop threads behind a reactor-mode
  * TcpServer. Decoded requests are pushed into @p sink (which must
- * outlive the pool); responses come back via postResponse from any
- * service-worker thread.
+ * outlive the pool); encoded response runs come back via sendEncoded
+ * from any service-worker thread.
  *
  * Shutdown is two-phase, mirroring TcpServer::stop's strictly
  * downstream order: beginShutdown() synchronously stops accepting
@@ -116,16 +117,13 @@ class ReactorPool {
      * nonblocking; not owned — the server still closes it). */
     void start(int listenFd);
 
-    /** Routes one completed response to the owning reactor
-     * (resp.ctx is the connection serial). Any-thread safe. */
-    void postResponse(const core::Response& resp);
-
-    /** Batched variant: contiguous same-ctx runs in @p resps coalesce
-     * into one encode + one send() on the owning reactor (worker
-     * batches arrive connection-ordered from the per-connection read
-     * windows, so run detection is a single pass). Empties @p resps,
-     * keeping its capacity. Any-thread safe. */
-    void postResponseBatch(std::vector<core::Response>& resps);
+    /** Sends @p len bytes holding @p frames encoded response frames,
+     * all for connection @p serial, through the owning reactor
+     * (serial % N): inline on the calling thread when the connection
+     * has no write backlog, else queued behind it for EPOLLOUT
+     * continuation. Any-thread safe. */
+    void sendEncoded(uint64_t serial, const uint8_t* bytes, size_t len,
+                     size_t frames);
 
     void beginShutdown();
     void finish();

@@ -164,7 +164,7 @@ class TcpServer::Port final : public core::ServerPort {
     void
     sendResp(core::Response&& resp) override
     {
-        server_.sendResponse(resp);
+        server_.sendResponseRun(&resp, 1);
     }
 
     void
@@ -463,49 +463,8 @@ TcpServer::readConnection(const std::shared_ptr<Conn>& conn)
 }
 
 void
-TcpServer::sendResponse(const core::Response& resp)
-{
-    if (reactor_pool_) {
-        reactor_pool_->postResponse(resp);
-        return;
-    }
-    std::shared_ptr<Conn> conn;
-    {
-        util::MutexLock lock(port_obj_->map_mu_);
-        const auto it = port_obj_->routes_.find(resp.ctx);
-        if (it != port_obj_->routes_.end())
-            conn = it->second;
-    }
-    if (!conn) {
-        TB_LOG_DEBUG("tcp server: response %llu has no connection",
-                     static_cast<unsigned long long>(resp.id));
-        return;
-    }
-    bool close_now = false;
-    {
-        util::MutexLock lock(conn->mu);
-        if (!conn->closed) {
-            util::probe::add(util::probe::kRespWrites);
-            FdStream stream(conn->fd);
-            if (!sendResponseFrame(stream, resp))
-                TB_LOG_DEBUG("tcp server: response write failed "
-                             "(peer gone?)");
-        }
-        conn->outstanding--;
-        close_now = conn->eof && conn->outstanding == 0 &&
-            !conn->closed;
-    }
-    if (close_now)
-        closeConn(conn);
-}
-
-void
 TcpServer::sendResponseBatch(std::vector<core::Response>& resps)
 {
-    if (reactor_pool_) {
-        reactor_pool_->postResponseBatch(resps);
-        return;
-    }
     // Contiguous same-connection runs coalesce into one write each;
     // worker batches come off per-connection request streams, so a
     // batch is usually a single run.
@@ -523,6 +482,20 @@ TcpServer::sendResponseBatch(std::vector<core::Response>& resps)
 void
 TcpServer::sendResponseRun(const core::Response* rs, size_t n)
 {
+    // Response frames are fixed-size, so a whole run encodes into
+    // per-thread reusable storage (no allocation in steady state) and
+    // leaves as one write.
+    static thread_local std::vector<uint8_t> t_enc;
+    const size_t bytes = n * kResponseFrameBytes;
+    if (t_enc.size() < bytes)
+        t_enc.resize(bytes);
+    for (size_t i = 0; i < n; i++)
+        encodeResponseFrame(t_enc.data() + i * kResponseFrameBytes,
+                            rs[i]);
+    if (reactor_pool_) {
+        reactor_pool_->sendEncoded(rs[0].ctx, t_enc.data(), bytes, n);
+        return;
+    }
     std::shared_ptr<Conn> conn;
     {
         util::MutexLock lock(port_obj_->map_mu_);
@@ -535,15 +508,6 @@ TcpServer::sendResponseRun(const core::Response* rs, size_t n)
                      n);
         return;
     }
-    // Response frames are fixed-size, so a whole run encodes into
-    // per-thread reusable storage and leaves as one write.
-    static thread_local std::vector<uint8_t> t_enc;
-    const size_t bytes = n * kResponseFrameBytes;
-    if (t_enc.size() < bytes)
-        t_enc.resize(bytes);
-    for (size_t i = 0; i < n; i++)
-        encodeResponseFrame(t_enc.data() + i * kResponseFrameBytes,
-                            rs[i]);
     bool close_now = false;
     {
         util::MutexLock lock(conn->mu);
@@ -585,60 +549,6 @@ TcpServer::closeConn(const std::shared_ptr<Conn>& conn)
     conns_live_--;
     util::MutexLock lock(conns_mu_);
     conns_.erase(conn);
-}
-
-// -------------------------------------------------- TcpClientTransport
-
-TcpClientTransport::TcpClientTransport(const std::string& host,
-                                       uint16_t port)
-    : fd_(connectTcp(host, port))
-{
-    if (fd_ < 0)
-        TB_LOG_ERROR("loopback transport: connect to %s:%u failed",
-                     host.c_str(), static_cast<unsigned>(port));
-}
-
-TcpClientTransport::~TcpClientTransport()
-{
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-void
-TcpClientTransport::sendRequest(core::Request&& req)
-{
-    if (fd_ < 0)
-        return;
-    FdStream stream(fd_);
-    if (!sendRequestFrame(stream, req))
-        TB_LOG_WARN("loopback transport: request write failed");
-}
-
-bool
-TcpClientTransport::recvResponse(core::Response& out)
-{
-    if (fd_ < 0)
-        return false;
-    FdStream stream(fd_);
-    const WireResult res = recvResponseFrame(stream, out);
-    if (res != WireResult::kOk) {
-        if (res == WireResult::kBadFrame)
-            TB_LOG_WARN("loopback transport: malformed response "
-                        "frame");
-        return false;
-    }
-    // The response-path wire cost belongs to sojourn: completion is
-    // when the *client* has the response, not when the server wrote
-    // it.
-    out.timing.endNs = util::monotonicNs();
-    return true;
-}
-
-void
-TcpClientTransport::finishSend()
-{
-    if (fd_ >= 0)
-        ::shutdown(fd_, SHUT_WR);
 }
 
 // ------------------------------------------------ MultiConnTcpTransport
@@ -708,8 +618,33 @@ bool
 MultiConnTcpTransport::recvResponse(core::Response& out)
 {
     for (;;) {
+        // Serve the connections the last poll found readable one frame
+        // each, in order, and poll again only once the round is done:
+        // always taking the first readable one would drain connection
+        // 0's whole backlog before a response already waiting on
+        // connection 1.
+        while (scan_ < pfds_.size()) {
+            const size_t k = scan_++;
+            if (!(pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)))
+                continue;
+            FdStream stream(pfds_[k].fd);
+            const WireResult res = recvResponseFrame(stream, out);
+            if (res == WireResult::kOk) {
+                // The response-path wire cost belongs to sojourn:
+                // completion is when the *client* has the response,
+                // not when the server wrote it.
+                out.timing.endNs = util::monotonicNs();
+                return true;
+            }
+            if (res == WireResult::kBadFrame)
+                TB_LOG_WARN("multi-conn transport: malformed response "
+                            "frame");
+            // EOF (or poisoned): retire it.
+            live_[idx_[k]].store(false, std::memory_order_relaxed);
+        }
         pfds_.clear();
         idx_.clear();
+        scan_ = 0;
         for (size_t k = 0; k < fds_.size(); k++) {
             if (!live_[k].load(std::memory_order_relaxed) ||
                 fds_[k] < 0)
@@ -725,28 +660,8 @@ MultiConnTcpTransport::recvResponse(core::Response& out)
             return false;  // every connection reached end of stream
         const int n = ::poll(pfds_.data(),
                              static_cast<nfds_t>(pfds_.size()), -1);
-        if (n <= 0) {
-            if (n < 0 && errno != EINTR)
-                return false;
-            continue;
-        }
-        for (size_t k = 0; k < pfds_.size(); k++) {
-            if (!(pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)))
-                continue;
-            FdStream stream(pfds_[k].fd);
-            const WireResult res = recvResponseFrame(stream, out);
-            if (res == WireResult::kOk) {
-                // Completion is client-side receipt (see
-                // TcpClientTransport).
-                out.timing.endNs = util::monotonicNs();
-                return true;
-            }
-            if (res == WireResult::kBadFrame)
-                TB_LOG_WARN("multi-conn transport: malformed response "
-                            "frame");
-            // EOF (or poisoned): retire it.
-            live_[idx_[k]].store(false, std::memory_order_relaxed);
-        }
+        if (n < 0 && errno != EINTR)
+            return false;
     }
 }
 
@@ -868,25 +783,13 @@ LoopbackHarness::run(apps::App& app, const core::HarnessConfig& cfg)
     // connections == 0: one per server worker (TailBench++-style).
     const unsigned conns =
         opts_.connections == 0 ? workers : opts_.connections;
-    std::unique_ptr<core::Transport> transport;
-    bool connected = false;
-    if (conns <= 1) {
-        auto t = std::make_unique<TcpClientTransport>("127.0.0.1",
-                                                      server.port());
-        connected = t->connected();
-        transport = std::move(t);
-    } else {
-        auto t = std::make_unique<MultiConnTcpTransport>(
-            "127.0.0.1", server.port(), conns);
-        connected = t->connected();
-        transport = std::move(t);
-    }
-    if (!connected) {
+    MultiConnTcpTransport transport("127.0.0.1", server.port(), conns);
+    if (!transport.connected()) {
         server.stop();
         return core::RunResult{};
     }
     core::LoadClient client;
-    core::RunResult result = client.run(app, cfg, *transport);
+    core::RunResult result = client.run(app, cfg, transport);
     server.stop();
     result.serviceWorkers = server.workers();
     result.pinnedWorkers = server.pinnedWorkers();

@@ -7,9 +7,10 @@
  * LoadClient + ServiceLoop composition as the integrated harness,
  * with the in-process queue transport swapped for real TCP sockets.
  *
- *   LoopbackHarness   one persistent connection over 127.0.0.1; every
- *                     request pays kernel socket + framing costs but
- *                     connection setup is amortized over the run.
+ *   LoopbackHarness   N persistent connections over 127.0.0.1
+ *                     (default 1); every request pays kernel socket +
+ *                     framing costs but connection setup is amortized
+ *                     over the run.
  *   NetworkedHarness  one connection *per request* (client-side RST
  *                     close, so ephemeral ports are not exhausted):
  *                     each request additionally pays connect/accept
@@ -115,10 +116,12 @@ class TcpServer {
     void acceptLoop();
     void readerLoop();
     void readConnection(const std::shared_ptr<Conn>& conn);
-    void sendResponse(const core::Response& resp);
-    /** Batched response path: contiguous same-connection runs leave
-     * as one write (threads backend) or one reactor send. Empties
-     * @p resps, keeping capacity. */
+    /** The one response path, shared by both IO backends:
+     * sendResponseBatch splits @p resps into contiguous
+     * same-connection runs and empties it, keeping capacity;
+     * sendResponseRun encodes a run once and writes it as one write
+     * under the connection lock (threads) or hands the bytes to the
+     * owning reactor. A single response is a run of 1. */
     void sendResponseBatch(std::vector<core::Response>& resps);
     void sendResponseRun(const core::Response* rs, size_t n);
     void closeConn(const std::shared_ptr<Conn>& conn);
@@ -154,34 +157,16 @@ class TcpServer {
     std::set<std::shared_ptr<Conn>> conns_ TB_GUARDED_BY(conns_mu_);
 };
 
-/** Client transport over one persistent connection (LoopbackHarness).
- * sendRequest writes a frame; recvResponse reads one and restamps
- * endNs at receipt; finishSend sends FIN via shutdown(SHUT_WR). */
-class TcpClientTransport final : public core::Transport {
-  public:
-    TcpClientTransport(const std::string& host, uint16_t port);
-    ~TcpClientTransport() override;
-
-    bool connected() const { return fd_ >= 0; }
-
-    void sendRequest(core::Request&& req) override;
-    bool recvResponse(core::Response& out) override;
-    void finishSend() override;
-
-  private:
-    int fd_ = -1;
-};
-
 /**
- * Client transport over N persistent connections (TailBench++-style
- * multi-client scaling): a single socket's frame serialization
- * saturates long before the server does, so sendRequest round-robins
- * requests across the connections and recvResponse multiplexes the
- * collection across all of them with poll, restamping endNs at
- * receipt. Pair the connection count with the server's worker count —
- * connection serials are the sharded port's placement key, so N
- * connections against N shards give every worker its own request
- * stream end to end.
+ * Client transport over N persistent connections (LoopbackHarness;
+ * N = 1 is the classic single socket, larger N the TailBench++-style
+ * multi-client load): sendRequest round-robins requests across the
+ * connections and recvResponse multiplexes the collection across all
+ * of them with poll, restamping endNs at receipt. finishSend sends FIN
+ * on every connection via shutdown(SHUT_WR). Pair the connection
+ * count with the server's worker count — connection serials are the
+ * sharded port's placement key, so N connections against N shards
+ * give every worker its own request stream end to end.
  */
 class MultiConnTcpTransport final : public core::Transport {
   public:
@@ -211,6 +196,11 @@ class MultiConnTcpTransport final : public core::Transport {
      * not allocate per call; collector-thread-only. */
     std::vector<struct pollfd> pfds_;
     std::vector<size_t> idx_;
+    /** Next pfds_ entry to serve from the last poll's result: every
+     * readable connection gets one frame per poll round, so a backlog
+     * on one cannot delay (and inflate the endNs of) a response
+     * already waiting on another; collector-thread-only. */
+    size_t scan_ = 0;
     /** Generator-side round-robin cursor (generator-thread-only). */
     size_t rr_ = 0;
 };
@@ -245,8 +235,9 @@ class PerRequestTcpTransport final : public core::Transport {
 /** Loopback configuration knobs (defaults reproduce the classic
  * single-connection, single-queue loopback harness). */
 struct LoopbackOptions {
-    /** Client connections: 1 = the classic persistent socket; 0 = one
-     * per server worker (TailBench++-style multi-client load). */
+    /** Persistent client connections (MultiConnTcpTransport): 1 = the
+     * classic single socket; 0 = one per server worker
+     * (TailBench++-style multi-client load). */
     unsigned connections = 1;
     /** Server-side request-queue policy (shards == 0 resolves to the
      * run's worker count). */

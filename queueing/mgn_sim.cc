@@ -111,24 +111,4 @@ mmnSojournP(double lambda, double mu, unsigned n)
     return c / (static_cast<double>(n) * mu - lambda) + 1.0 / mu;
 }
 
-core::RunResult
-EmpiricalQueueHarness::run(apps::App& app, const core::HarnessConfig& cfg)
-{
-    (void)app;
-    MgnConfig qc;
-    qc.lambda = cfg.qps;
-    qc.servers = std::max(1u, cfg.workerThreads);
-    qc.warmup = cfg.warmupRequests;
-    qc.measured = cfg.measuredRequests;
-    qc.seed = cfg.seed;
-    qc.arrival = cfg.arrival;
-    // Virtual-time arrivals never lag their own schedule, so no
-    // genLag series; windows/SLO still apply.
-    core::ResultOptions opts;
-    opts.keepSamples = cfg.keepSamples;
-    opts.windows = cfg.windows;
-    opts.sloTargetNs = cfg.sloTargetNs;
-    return core::buildRunResult(simulateTimings(samples_, qc), opts);
-}
-
 }  // namespace tb::queueing

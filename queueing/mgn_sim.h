@@ -19,15 +19,12 @@
  * (Fig. 8's moses-vs-silo decomposition).
  *
  * The result is built through the shared core::buildRunResult path,
- * so sojourn/queueing/service decompose exactly as in every harness,
- * and EmpiricalQueueHarness adapts the model to core::Harness so the
- * bench sweep helpers (bench::measureAt, calibrateSaturation) can
- * drive it like any other backend. Everything is virtual-time: a
- * (samples, config) pair yields bit-identical results on any host.
+ * so sojourn/queueing/service decompose exactly as in every harness.
+ * Everything is virtual-time: a (samples, config) pair yields
+ * bit-identical results on any host.
  */
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/harness.h"
@@ -83,31 +80,6 @@ MgnResult simulateMgn(const std::vector<int64_t>& serviceSamplesNs,
  * n neither overflows nor loses precision to explicit factorials.
  */
 double mmnSojournP(double lambda, double mu, unsigned n);
-
-/**
- * core::Harness adapter over simulateMgn: HarnessConfig's qps /
- * workerThreads / warmup / measured / seed map onto MgnConfig, and
- * run() returns a full RunResult (samples included when
- * keepSamples). The App argument is ignored — the service
- * distribution was measured beforehand and baked into the samples —
- * which is the point: sweeping this harness against a real one
- * isolates what queueing alone predicts.
- */
-class EmpiricalQueueHarness final : public core::Harness {
-  public:
-    explicit EmpiricalQueueHarness(std::vector<int64_t> serviceSamplesNs)
-        : samples_(std::move(serviceSamplesNs))
-    {
-    }
-
-    core::RunResult run(apps::App& app,
-                        const core::HarnessConfig& cfg) override;
-
-    std::string configName() const override { return "queueing-model"; }
-
-  private:
-    std::vector<int64_t> samples_;
-};
 
 }  // namespace tb::queueing
 

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -99,6 +100,91 @@ checkTimingInvariants(const RunResult& r)
         CHECK(t.sojournNs() >= t.serviceNs());
         CHECK(t.sojournNs() >= t.queueNs());
     }
+}
+
+/** A listening 127.0.0.1 socket on an ephemeral port, for the
+ * hand-rolled wire-level servers below; returns the fd and sets
+ * @p port. */
+int
+listenLoopback(uint16_t& port)
+{
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    CHECK(lfd >= 0);
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    CHECK(::bind(lfd, reinterpret_cast<struct sockaddr*>(&addr),
+                 sizeof(addr)) == 0);
+    CHECK(::listen(lfd, 8) == 0);
+    socklen_t alen = sizeof(addr);
+    CHECK(::getsockname(lfd, reinterpret_cast<struct sockaddr*>(&addr),
+                        &alen) == 0);
+    port = ntohs(addr.sin_port);
+    return lfd;
+}
+
+/**
+ * Two concurrent clients of one server with *overlapping* request ids
+ * (both send ids 0..19): each response must come back on the
+ * connection its request arrived on (routing is per-connection, not
+ * per-id), so each client receives exactly its own 20 responses —
+ * checked by genNs tag — and then a clean end of stream at the
+ * server's FIN. With @p batchResponses false every response takes the
+ * per-response path, a run of 1.
+ */
+void
+checkTwoClientRouting(tb::net::IoMode mode, bool batchResponses,
+                      uint64_t seed)
+{
+    auto app = makeTestApp();
+    tb::net::IoOptions io;
+    io.mode = mode;
+    tb::core::ServiceOptions sopts;
+    sopts.batchResponses = batchResponses;
+    tb::net::TcpServer server(*app, 2, 0, true, {}, sopts, io);
+    CHECK(server.listening());
+    CHECK(server.ioMode() == mode);
+    if (mode == tb::net::IoMode::kReactor)
+        CHECK(server.reactorCount() >= 1u);
+    server.start();
+    tb::net::MultiConnTcpTransport a("127.0.0.1", server.port(), 1);
+    tb::net::MultiConnTcpTransport b("127.0.0.1", server.port(), 1);
+    CHECK(a.connected());
+    CHECK(b.connected());
+
+    constexpr uint64_t kN = 20;
+    constexpr int64_t kTagA = 1000000;  // genNs tags per client
+    constexpr int64_t kTagB = 2000000;
+    tb::util::Rng rng(seed);
+    for (uint64_t i = 0; i < kN; i++) {
+        Request ra;
+        ra.id = i;
+        ra.payload = app->genRequest(rng);
+        ra.genNs = kTagA + static_cast<int64_t>(i);
+        a.sendRequest(std::move(ra));
+        Request rb;
+        rb.id = i;
+        rb.payload = app->genRequest(rng);
+        rb.genNs = kTagB + static_cast<int64_t>(i);
+        b.sendRequest(std::move(rb));
+    }
+    a.finishSend();
+    b.finishSend();
+    for (const auto& [client, tag] :
+         {std::make_pair(&a, kTagA), std::make_pair(&b, kTagB)}) {
+        std::vector<int64_t> got;
+        Response resp;
+        while (client->recvResponse(resp))
+            got.push_back(resp.timing.genNs);
+        std::sort(got.begin(), got.end());
+        std::vector<int64_t> want;
+        for (uint64_t i = 0; i < kN; i++)
+            want.push_back(tag + static_cast<int64_t>(i));
+        CHECK(got == want);
+    }
+    server.stop();
 }
 
 }  // namespace
@@ -343,8 +429,8 @@ main()
         CHECK(server.listening());
         CHECK(server.port() != 0);
         server.start();
-        tb::net::TcpClientTransport transport("127.0.0.1",
-                                              server.port());
+        tb::net::MultiConnTcpTransport transport("127.0.0.1",
+                                                 server.port(), 1);
         CHECK(transport.connected());
 
         tb::util::Rng rng(7);
@@ -365,50 +451,12 @@ main()
         server.stop();
     }
 
-    // Two concurrent clients of one server with *overlapping* request
-    // ids: each response must come back on the connection its request
-    // arrived on (routing is per-connection, not per-id).
-    {
-        auto app = makeTestApp();
-        tb::net::TcpServer server(*app, 2);
-        CHECK(server.listening());
-        server.start();
-        tb::net::TcpClientTransport a("127.0.0.1", server.port());
-        tb::net::TcpClientTransport b("127.0.0.1", server.port());
-        CHECK(a.connected());
-        CHECK(b.connected());
-
-        tb::util::Rng rng(11);
-        for (uint64_t i = 0; i < 20; i++) {
-            Request ra;
-            ra.id = i;  // both clients use ids 0..19
-            ra.payload = app->genRequest(rng);
-            ra.genNs = 1000000 + static_cast<int64_t>(i);  // client A tag
-            a.sendRequest(std::move(ra));
-            Request rb;
-            rb.id = i;
-            rb.payload = app->genRequest(rng);
-            rb.genNs = 2000000 + static_cast<int64_t>(i);  // client B tag
-            b.sendRequest(std::move(rb));
-        }
-        a.finishSend();
-        b.finishSend();
-        unsigned got_a = 0;
-        Response resp;
-        while (a.recvResponse(resp)) {
-            CHECK(resp.timing.genNs >= 1000000 &&
-                  resp.timing.genNs < 2000000);
-            got_a++;
-        }
-        unsigned got_b = 0;
-        while (b.recvResponse(resp)) {
-            CHECK(resp.timing.genNs >= 2000000);
-            got_b++;
-        }
-        CHECK_EQ(got_a, 20u);
-        CHECK_EQ(got_b, 20u);
-        server.stop();
-    }
+    // Per-connection response routing on both IO backends, for the
+    // batched response path and the per-response (run of 1) path.
+    checkTwoClientRouting(tb::net::IoMode::kThreads, true, 11);
+    checkTwoClientRouting(tb::net::IoMode::kThreads, false, 12);
+    checkTwoClientRouting(tb::net::IoMode::kReactor, true, 17);
+    checkTwoClientRouting(tb::net::IoMode::kReactor, false, 18);
 
     // LoopbackHarness end to end vs the integrated harness at the
     // same low load: same request count, the same timestamp
@@ -546,58 +594,6 @@ main()
                  static_cast<uint64_t>(150));
     }
 
-    // Reactor backend end to end: the same routing test as above
-    // (two clients, overlapping request ids) against an epoll server.
-    // The service loop, wire format and transports are identical —
-    // only the connection IO changed — so every response must come
-    // back on its own connection and both streams end at the server's
-    // FIN.
-    {
-        auto app = makeTestApp();
-        tb::net::IoOptions io;
-        io.mode = tb::net::IoMode::kReactor;
-        tb::net::TcpServer server(*app, 2, 0, true, {}, {}, io);
-        CHECK(server.listening());
-        CHECK(server.ioMode() == tb::net::IoMode::kReactor);
-        CHECK(server.reactorCount() >= 1u);
-        server.start();
-        tb::net::TcpClientTransport a("127.0.0.1", server.port());
-        tb::net::TcpClientTransport b("127.0.0.1", server.port());
-        CHECK(a.connected());
-        CHECK(b.connected());
-
-        tb::util::Rng rng(17);
-        for (uint64_t i = 0; i < 20; i++) {
-            Request ra;
-            ra.id = i;
-            ra.payload = app->genRequest(rng);
-            ra.genNs = 1000000 + static_cast<int64_t>(i);
-            a.sendRequest(std::move(ra));
-            Request rb;
-            rb.id = i;
-            rb.payload = app->genRequest(rng);
-            rb.genNs = 2000000 + static_cast<int64_t>(i);
-            b.sendRequest(std::move(rb));
-        }
-        a.finishSend();
-        b.finishSend();
-        unsigned got_a = 0;
-        Response resp;
-        while (a.recvResponse(resp)) {
-            CHECK(resp.timing.genNs >= 1000000 &&
-                  resp.timing.genNs < 2000000);
-            got_a++;
-        }
-        unsigned got_b = 0;
-        while (b.recvResponse(resp)) {
-            CHECK(resp.timing.genNs >= 2000000);
-            got_b++;
-        }
-        CHECK_EQ(got_a, 20u);
-        CHECK_EQ(got_b, 20u);
-        server.stop();
-    }
-
     // Reactor backend under an open-loop harness run, selected the
     // way operators select it — TAILBENCH_IO_MODE — so the env knob
     // path is covered too: full request count, same timestamp
@@ -637,7 +633,8 @@ main()
         const int bad_fd =
             tb::net::connectTcp("127.0.0.1", server.port());
         CHECK(bad_fd >= 0);
-        tb::net::TcpClientTransport good("127.0.0.1", server.port());
+        tb::net::MultiConnTcpTransport good("127.0.0.1", server.port(),
+                                            1);
         CHECK(good.connected());
 
         const char garbage[] = "this is not a TBRQ frame";
@@ -670,21 +667,8 @@ main()
     // graceful loss is the contract; swallowing 1/N of the load
     // forever (or a wedged recvResponse) is the bug this guards.
     {
-        const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
-        CHECK(lfd >= 0);
-        struct sockaddr_in addr;
-        std::memset(&addr, 0, sizeof(addr));
-        addr.sin_family = AF_INET;
-        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-        addr.sin_port = 0;
-        CHECK(::bind(lfd, reinterpret_cast<struct sockaddr*>(&addr),
-                     sizeof(addr)) == 0);
-        CHECK(::listen(lfd, 8) == 0);
-        socklen_t alen = sizeof(addr);
-        CHECK(::getsockname(lfd,
-                            reinterpret_cast<struct sockaddr*>(&addr),
-                            &alen) == 0);
-        const uint16_t port = ntohs(addr.sin_port);
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
 
         std::thread srv([lfd] {
             const int a = ::accept(lfd, nullptr, nullptr);
@@ -757,6 +741,79 @@ main()
         ::close(lfd);
     }
 
+    // Regression: MultiConnTcpTransport collection fairness. A
+    // hand-rolled wire-level server queues 16 responses on one
+    // connection and 1 on the other before the client reads. The lone
+    // response must be collected within the first 2 recvResponse
+    // calls: a collector that always scans from connection 0 drains
+    // that connection's whole backlog first, and stamps the waiting
+    // response's endNs (client receipt) 16 frames late.
+    {
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
+        constexpr uint64_t kBacklog = 16;
+        constexpr uint64_t kLoneId = 1000;
+
+        std::thread srv([lfd] {
+            const int fds[2] = {::accept(lfd, nullptr, nullptr),
+                                ::accept(lfd, nullptr, nullptr)};
+            CHECK(fds[0] >= 0 && fds[1] >= 0);
+            // The client round-robins request id k onto its connection
+            // k, so each request names the connection it came in on.
+            int by_conn[2] = {-1, -1};
+            for (const int fd : fds) {
+                tb::net::FdStream stream(fd);
+                Request req;
+                CHECK(tb::net::recvRequestFrame(stream, req) ==
+                      WireResult::kOk);
+                if (req.id < 2)
+                    by_conn[req.id] = fd;
+            }
+            CHECK(by_conn[0] >= 0 && by_conn[1] >= 0);
+            const auto reply = [](int fd, uint64_t id) {
+                Response resp;
+                resp.id = id;
+                resp.timing.startNs = 1;
+                resp.timing.endNs = 2;
+                tb::net::FdStream stream(fd);
+                CHECK(tb::net::sendResponseFrame(stream, resp));
+            };
+            for (uint64_t i = 0; i < kBacklog; i++)
+                reply(by_conn[0], i);
+            reply(by_conn[1], kLoneId);
+            for (const int fd : fds) {
+                ::shutdown(fd, SHUT_WR);
+                ::close(fd);
+            }
+        });
+
+        tb::net::MultiConnTcpTransport transport("127.0.0.1", port,
+                                                 /*connections=*/2);
+        CHECK(transport.connected());
+        for (uint64_t i = 0; i < 2; i++) {
+            Request req;
+            req.id = i;
+            req.payload = "x";
+            transport.sendRequest(std::move(req));
+        }
+        transport.finishSend();
+        // Every response is written before the first read; the pause
+        // lets loopback delivery settle on a loaded host.
+        srv.join();
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        unsigned calls = 0;
+        unsigned lone_call = 0;
+        Response resp;
+        while (transport.recvResponse(resp)) {
+            calls++;
+            if (resp.id == kLoneId)
+                lone_call = calls;
+        }
+        CHECK_EQ(calls, static_cast<unsigned>(kBacklog + 1));
+        CHECK(lone_call >= 1 && lone_call <= 2);
+        ::close(lfd);
+    }
+
     // Regression: elastic reader spawn under concurrent accept churn
     // (threads backend). Three client threads open eight persistent
     // connections each — every one pins a reader for its whole life,
@@ -778,15 +835,15 @@ main()
         for (unsigned t = 0; t < kClientThreads; t++) {
             clients.emplace_back([&, t] {
                 std::vector<
-                    std::unique_ptr<tb::net::TcpClientTransport>>
+                    std::unique_ptr<tb::net::MultiConnTcpTransport>>
                     conns;
                 // Open all connections up front so they stay live
                 // concurrently — that is what forces the elastic
                 // spawn past the seeded reader count.
                 for (unsigned c = 0; c < kConnsPerThread; c++) {
                     conns.push_back(
-                        std::make_unique<tb::net::TcpClientTransport>(
-                            "127.0.0.1", server.port()));
+                        std::make_unique<tb::net::MultiConnTcpTransport>(
+                            "127.0.0.1", server.port(), 1));
                     if (!conns.back()->connected())
                         return;
                 }

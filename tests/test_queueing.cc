@@ -2,9 +2,8 @@
  * @file
  * queueing/mgn_sim: the M/G/n model against closed-form queueing
  * theory (M/M/1 mean sojourn, Erlang-C for n > 1), determinism,
- * warmup exclusion, overload termination, degenerate-input guards,
- * and the EmpiricalQueueHarness adapter's consistency with
- * simulateMgn.
+ * warmup exclusion, overload termination and degenerate-input
+ * guards.
  */
 
 #include "queueing/mgn_sim.h"
@@ -12,7 +11,6 @@
 #include <cmath>
 #include <vector>
 
-#include "apps/common/app.h"
 #include "util/rng.h"
 #include "tests/test_util.h"
 
@@ -198,42 +196,6 @@ testDegenerateInputs()
     CHECK_EQ(c.sojourn.count, 0u);
 }
 
-void
-testHarnessAdapter()
-{
-    double mean_ns = 0.0;
-    const auto samples = expSamples(1000.0, 10'000, 23, &mean_ns);
-    queueing::EmpiricalQueueHarness h(samples);
-    CHECK(h.configName() == "queueing-model");
-
-    core::HarnessConfig cfg;
-    cfg.qps = 0.5 * 1e9 / mean_ns;
-    cfg.workerThreads = 2;
-    cfg.warmupRequests = 1'000;
-    cfg.measuredRequests = 15'000;
-    cfg.seed = 77;
-    cfg.keepSamples = true;
-    // The app argument is unused by the adapter; any registered app
-    // satisfies the interface.
-    auto app = apps::makeApp("silo");
-    const core::RunResult r = h.run(*app, cfg);
-
-    // Identical numbers to the functional entry point with the same
-    // mapped config — the adapter must not fork the model.
-    queueing::MgnConfig qc;
-    qc.lambda = cfg.qps;
-    qc.servers = cfg.workerThreads;
-    qc.warmup = cfg.warmupRequests;
-    qc.measured = cfg.measuredRequests;
-    qc.seed = cfg.seed;
-    const queueing::MgnResult m = queueing::simulateMgn(samples, qc);
-    CHECK_EQ(r.latency.sojourn.p95Ns, m.sojourn.p95Ns);
-    CHECK_EQ(r.latency.sojourn.meanNs, m.sojourn.meanNs);
-    CHECK_EQ(r.achievedQps, m.achievedQps);
-    CHECK_EQ(r.maxGenLagNs, 0);  // virtual time never lags
-    CHECK_EQ(r.samples.size(), cfg.measuredRequests);
-}
-
 }  // namespace
 
 int
@@ -245,6 +207,5 @@ main()
     testWarmupExclusion();
     testOverloadTerminates();
     testDegenerateInputs();
-    testHarnessAdapter();
     return TEST_MAIN_RESULT();
 }

@@ -240,8 +240,8 @@ main()
             tb::net::TcpServer server(*app, 1, 0, true, {}, {}, io);
             CHECK(server.listening());
             server.start();
-            tb::net::TcpClientTransport t("127.0.0.1",
-                                          server.port());
+            tb::net::MultiConnTcpTransport t("127.0.0.1",
+                                             server.port(), 1);
             CHECK(t.connected());
             tb::util::Rng rng(41);
             Request req;
