@@ -125,8 +125,8 @@ main()
     core::IntegratedHarness integrated;
     net::LoopbackOptions lopts;
     lopts.connections = 2;
-    lopts.useEnvIo = false;  // pin the reactor backend for this column
-    lopts.io.mode = net::IoMode::kReactor;
+    // Pin the reactor backend for this column.
+    lopts.io = net::IoOptions{net::IoMode::kReactor};
     net::LoopbackHarness reactor_tcp(lopts);
     std::vector<core::Harness*> harnesses = {&integrated, &reactor_tcp};
 

@@ -8,12 +8,15 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "apps/common/app.h"
 #include "apps/common/bptree.h"
 #include "core/harness.h"
 #include "core/request_queue.h"
+#include "core/sharded_port.h"
+#include "net/wire.h"
 #include "sim/cache.h"
 #include "sim/trace_gen.h"
 #include "util/histogram.h"
@@ -93,6 +96,110 @@ BM_RequestQueuePushPop(benchmark::State& state)
     }
 }
 BENCHMARK(BM_RequestQueuePushPop);
+
+/** Append-only ByteStream, for pre-encoding request frames. */
+class VecStream final : public net::ByteStream {
+  public:
+    ssize_t readSome(void*, size_t) override { return -1; }
+
+    ssize_t
+    writeSome(const void* buf, size_t len) override
+    {
+        const uint8_t* p = static_cast<const uint8_t*>(buf);
+        bytes.insert(bytes.end(), p, p + len);
+        return static_cast<ssize_t>(len);
+    }
+
+    std::vector<uint8_t> bytes;
+};
+
+constexpr size_t kWireFrames = 64;
+
+/** One request frame through the reactor's window decoder (the
+ * zero-copy view; header check, then id/genNs/payload extraction),
+ * cycling over 64 app-shaped frames laid back to back. */
+void
+BM_WireRequestDecode(benchmark::State& state)
+{
+    VecStream s;
+    util::Rng rng(10);
+    for (size_t i = 0; i < kWireFrames; i++) {
+        core::Request r;
+        r.id = i;
+        r.genNs = static_cast<int64_t>(rng.next() >> 2);
+        r.payload = "get " + std::to_string(rng.nextInt(100000));
+        net::sendRequestFrame(s, r);
+    }
+    const uint8_t* const end = s.bytes.data() + s.bytes.size();
+    const uint8_t* p = s.bytes.data();
+    net::RequestFrameView v;
+    size_t used = 0;
+    for (auto _ : state) {
+        if (p == end)
+            p = s.bytes.data();
+        net::tryDecodeRequestFrameView(p, static_cast<size_t>(end - p),
+                                       v, used);
+        p += used;
+        benchmark::DoNotOptimize(v);
+    }
+}
+BENCHMARK(BM_WireRequestDecode);
+
+/** One 48-byte response frame through the window decoder the
+ * client's event-loop side uses (the same decoder recvResponseFrame
+ * runs). */
+void
+BM_WireResponseDecode(benchmark::State& state)
+{
+    std::vector<uint8_t> wire(kWireFrames * net::kResponseFrameBytes);
+    util::Rng rng(11);
+    for (size_t i = 0; i < kWireFrames; i++) {
+        core::Response r;
+        r.id = i;
+        r.checksum = rng.next();
+        r.timing.genNs = static_cast<int64_t>(rng.next() >> 2);
+        r.timing.startNs = r.timing.genNs + 1000;
+        r.timing.endNs = r.timing.startNs + 5000;
+        net::encodeResponseFrame(
+            wire.data() + i * net::kResponseFrameBytes, r);
+    }
+    size_t i = 0;
+    core::Response out;
+    size_t used = 0;
+    for (auto _ : state) {
+        const size_t off = i * net::kResponseFrameBytes;
+        net::tryDecodeResponseFrame(wire.data() + off,
+                                    wire.size() - off, out, used);
+        i = (i + 1) % kWireFrames;
+        benchmark::DoNotOptimize(out);
+    }
+}
+BENCHMARK(BM_WireResponseDecode);
+
+/** The request pool's hand-off at load: one iteration pushes
+ * state.range(0) requests onto a sharded pool's single shard and
+ * takes them back with one popBatch (items/s counts requests). */
+void
+BM_PoolPushPopBatch(benchmark::State& state)
+{
+    core::PortOptions opts;
+    opts.policy = core::QueuePolicy::kSharded;
+    opts.batchMax = static_cast<size_t>(state.range(0));
+    core::RequestPool pool(core::resolveShards(opts, 1));
+    pool.bind(0);
+    std::vector<core::Request> out;
+    out.reserve(opts.batchMax);
+    for (auto _ : state) {
+        for (size_t i = 0; i < opts.batchMax; i++) {
+            core::Request r;
+            r.id = i;
+            pool.push(std::move(r));
+        }
+        benchmark::DoNotOptimize(pool.popBatch(out, opts.batchMax));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_PoolPushPopBatch)->Arg(1)->Arg(16);
 
 void
 BM_BPlusTreeFind(benchmark::State& state)

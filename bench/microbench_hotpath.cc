@@ -3,7 +3,7 @@
  * Hot-path allocation/syscall microbench: proves the zero-allocation,
  * syscall-batched serving claims with counters, not assertions.
  *
- * Four modes, each a real TcpServer round trip over loopback:
+ * Three modes, each a real TcpServer round trip over loopback:
  *
  *   threads_stock    thread-per-connection backend driven by a stock
  *                    synchronous client (genRequest per request) — the
@@ -11,16 +11,18 @@
  *                    the probe counts >= 2 heap allocs per request
  *                    (client payload string + server-side payload
  *                    string).
- *   reactor_string   reactor backend, payload arena OFF, driven by a
- *                    pre-encoded pipelined burst client (the client
- *                    side allocates nothing) — isolates the server's
- *                    per-payload string alloc.
- *   reactor_arena    as above with the arena ON — the tentpole: 0
- *                    steady-state heap allocs per request.
- *   reactor_perframe arena ON but response batching OFF (one send()
- *                    per response frame) — the write-coalescing
- *                    baseline; reactor_arena must show several times
- *                    fewer response-write syscalls per request.
+ *   reactor_arena    reactor backend (payloads in its arena) under
+ *                    the sharded pool, driven by a pre-encoded
+ *                    pipelined burst client (the client side
+ *                    allocates nothing): 0 steady-state heap allocs
+ *                    per request, and each batch's responses leave
+ *                    as one send().
+ *   reactor_perframe the same under the single-queue pool, whose
+ *                    batchMax of 1 makes every response a run of one
+ *                    — one send() per response frame, the
+ *                    write-coalescing baseline; reactor_arena must
+ *                    show several times fewer response-write syscalls
+ *                    per request.
  *
  * Counters (util/alloc_probe.h) are process-global, so each mode's
  * numbers include its client — deliberately: threads_stock measures
@@ -202,24 +204,18 @@ runThreadsStock(apps::App& app, uint64_t warmup, uint64_t measured,
  * kBurst-deep bursts — the client's steady state is two syscalls per
  * burst and zero allocations, so the counters isolate the server. */
 bool
-runReactorBurst(apps::App& app, bool arena, bool batchResponses,
+runReactorBurst(apps::App& app, core::QueuePolicy policy,
                 uint64_t warmupBursts, uint64_t measuredBursts,
                 ModeResult& out)
 {
     net::IoOptions io;
     io.mode = net::IoMode::kReactor;
-    io.payloadArena = arena;
-    core::ServiceOptions sopts;
-    sopts.batchResponses = batchResponses;
-    // Sharded policy (one worker -> one shard): structurally the same
-    // single queue, but with the batched pop enabled — kSingleQueue
-    // deliberately keeps the baseline's scalar pop (batchMax forced
-    // to 1), which would serialize responses into runs of one and
-    // hide the coalescing this mode exists to measure.
+    // One worker, so either policy is structurally one queue; they
+    // differ only in batchMax — 16 under kSharded, 1 under
+    // kSingleQueue, which serializes responses into runs of one.
     core::PortOptions popts;
-    popts.policy = core::QueuePolicy::kSharded;
-    net::TcpServer server(app, /*workers=*/1, 0, true, popts, sopts,
-                          io);
+    popts.policy = policy;
+    net::TcpServer server(app, /*workers=*/1, 0, true, popts, {}, io);
     if (!server.listening())
         return false;
     server.start();
@@ -287,21 +283,19 @@ main()
     }
     struct BurstSpec {
         const char* mode;
-        bool arena;
-        bool batch;
+        core::QueuePolicy policy;
     };
     const BurstSpec specs[] = {
-        {"reactor_string", false, true},
-        {"reactor_arena", true, true},
-        {"reactor_perframe", true, false},
+        {"reactor_arena", core::QueuePolicy::kSharded},
+        {"reactor_perframe", core::QueuePolicy::kSingleQueue},
     };
     for (const BurstSpec& spec : specs) {
         if (!ok)
             break;
         ModeResult m;
         m.mode = spec.mode;
-        ok = runReactorBurst(app, spec.arena, spec.batch,
-                             warmup_bursts, measured_bursts, m);
+        ok = runReactorBurst(app, spec.policy, warmup_bursts,
+                             measured_bursts, m);
         modes.push_back(m);
     }
     if (!ok) {
@@ -325,8 +319,8 @@ main()
     }
 
     // The two headline ratios, derived from the table.
-    const ModeResult& arena_mode = modes[2];
-    const ModeResult& perframe = modes[3];
+    const ModeResult& arena_mode = modes[1];
+    const ModeResult& perframe = modes[2];
     const double coalesce_ratio = arena_mode.writesPerReq > 0.0
         ? perframe.writesPerReq / arena_mode.writesPerReq
         : 0.0;

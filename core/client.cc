@@ -16,7 +16,7 @@ LoadClient::run(apps::App& app, const HarnessConfig& cfg,
     const uint64_t total = cfg.warmupRequests + cfg.measuredRequests;
     if (total == 0 || cfg.qps <= 0.0) {
         // Still end the stream so an attached service loop shuts down
-        // instead of blocking in recvReq forever.
+        // instead of blocking in recvReqBatch forever.
         transport.finishSend();
         Response drain;
         while (transport.recvResponse(drain)) {

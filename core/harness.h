@@ -20,8 +20,8 @@
  * A Harness is a thin composition of the three API pieces underneath
  * it: a LoadClient (core/client.h — schedule, timestamps, stats), a
  * Transport (core/transport.h — in-process queues or sockets), and a
- * ServiceLoop (core/service.h — the recvReq/process/sendResp worker
- * pool). Only the Transport differs between configurations.
+ * ServiceLoop (core/service.h — the recvReqBatch/process/sendRespBatch
+ * worker pool). Only the Transport differs between configurations.
  */
 
 #include <cstdint>

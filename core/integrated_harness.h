@@ -13,7 +13,8 @@
  * API pieces:
  *
  *   LoadClient  --- InProcessTransport ---  ServiceLoop
- *   (schedule, timestamps, stats)           (recvReq -> process -> sendResp)
+ *   (schedule, timestamps, stats)           (recvReqBatch -> process
+ *                                            -> sendRespBatch)
  *
  * The loopback and networked harnesses (net/) are the same
  * composition with a socket-backed transport substituted.

@@ -115,13 +115,9 @@ ServiceLoop::workerBody(unsigned worker)
             resp.timing.startNs = start;
             resp.timing.endNs = end;
             resp.ctx = req.ctx;
-            if (opts_.batchResponses)
-                resps.push_back(std::move(resp));
-            else
-                port_.sendResp(std::move(resp));
+            resps.push_back(std::move(resp));
         }
-        if (!resps.empty())
-            port_.sendRespBatch(resps);  // clears resps
+        port_.sendRespBatch(resps);  // clears resps
     }
     if (active_.fetch_sub(1) == 1)
         port_.closeResponses();

@@ -6,15 +6,19 @@
  * The server-side request loop shared by every real-time
  * configuration: N worker threads, each running
  *
- *   while (port.recvReqBatch(batch, batchMax)):
+ *   while (port.recvReqBatch(batch, bound)):
  *       for req in batch:
  *           start = now; checksum = app.process(req); end = now
- *           port.sendResp({id, checksum, {genNs, start, end}})
+ *           resps.push({id, checksum, {genNs, start, end}})
+ *       port.sendRespBatch(resps)
  *
- * The batch form degrades to the scalar recvReq path for ports that
- * do not override it (the default recvReqBatch is one recvReq), so
- * the single-queue baseline keeps its original per-request pop while
- * the sharded port amortizes wakes at load.
+ * The port decides the batch size (PortOptions::batchMax; 1 under
+ * the single-queue baseline), so one loop serves the per-request
+ * baseline and the sharded port that amortizes wakes and response
+ * writes at load. Latency note: a batch's responses leave after its
+ * last request is processed, but off saturation batches are almost
+ * always size 1, so equal-load percentiles are unaffected (fig10
+ * guards this).
  *
  * The loop owns the service-side timestamps (startNs / endNs around
  * App::process, one monotonic clock) and nothing else — warmup
@@ -42,17 +46,6 @@ struct ServiceOptions {
      * actually took on.
      */
     bool pinWorkers = false;
-    /**
-     * Send each recvReqBatch's responses through one sendRespBatch
-     * call (the coalesced path: one queue hand-off / socket write /
-     * wake per run). Off = the legacy per-response sendResp, kept
-     * selectable so microbench_hotpath can measure the per-frame
-     * cost it replaced. Latency note: a batch's responses are sent
-     * after its last request is processed, but off saturation
-     * batches are almost always size 1, so equal-load percentiles
-     * are unaffected (fig10 guards this).
-     */
-    bool batchResponses = true;
 };
 
 class ServiceLoop {
@@ -69,7 +62,7 @@ class ServiceLoop {
     /** Spawns the worker threads. */
     void start();
 
-    /** Joins all workers. Workers exit when recvReq returns false; the
+    /** Joins all workers. Workers exit when recvReqBatch returns 0; the
      * last one out calls port.closeResponses(), so by construction the
      * client's response stream ends only after every response was
      * sent. */

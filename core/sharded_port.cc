@@ -123,20 +123,9 @@ RequestPool::placeShard(const Request& req, unsigned shards)
         rr_.fetch_add(1, std::memory_order_relaxed) % shards);
 }
 
-bool
-RequestPool::stealFrom(unsigned thief, Request& out)
-{
-    const unsigned n = shardCount();
-    for (unsigned i = 1; i < n; i++) {
-        if (shards_[(thief + i) % n]->tryPop(out))
-            return true;
-    }
-    return false;
-}
-
-/** Batched steal: a backlogged victim yields a whole batch under one
- * lock, so stolen work gets the same wake/lock amortization the
- * owner's pop does. */
+/** Steal: a backlogged victim yields a whole batch under one lock, so
+ * stolen work gets the same wake/lock amortization the owner's pop
+ * does. */
 size_t
 RequestPool::stealBatchFrom(unsigned thief, std::vector<Request>& out,
                             size_t max)
@@ -169,31 +158,6 @@ RequestPool::finishedAfterClose(unsigned shard) const
     return true;
 }
 
-bool
-RequestPool::pop(Request& out)
-{
-    const unsigned own = boundShard();
-    BlockingQueue<Request>& mine = *shards_[own];
-    if (!steal_)
-        return mine.pop(out);
-    for (;;) {
-        if (mine.tryPop(out))
-            return true;
-        if (stealFrom(own, out))
-            return true;
-        switch (mine.popFor(out, kStealRescan)) {
-        case PopResult::kItem:
-            return true;
-        case PopResult::kTimeout:
-            break;  // period elapsed: re-scan the victims
-        case PopResult::kClosed:
-            if (finishedAfterClose(own))
-                return false;
-            break;  // siblings still hold backlog: keep stealing
-        }
-    }
-}
-
 size_t
 RequestPool::popBatch(std::vector<Request>& out, size_t max)
 {
@@ -204,8 +168,7 @@ RequestPool::popBatch(std::vector<Request>& out, size_t max)
     if (!steal_)
         return mine.popBatch(out, cap);
     // Steal mode: own shard first, then a batched steal from a
-    // victim, then block on the own shard with the re-scan timeout —
-    // the same block/steal/exit structure as the scalar pop.
+    // victim, then block on the own shard with the re-scan timeout.
     for (;;) {
         if (mine.tryPopBatch(out, cap) > 0)
             return out.size();

@@ -17,16 +17,17 @@
  *                            so one connection's requests stay on one
  *                            worker — cache affinity, per-connection
  *                            FIFO preserved)
- *   pop         each worker owns one shard (SPSC-ish: one consumer,
- *               any producer); kShardedSteal lets a dry worker take
- *               from a sibling's shard instead of idling
- *   batching    popBatch moves up to batchMax requests under one lock
- *               acquisition, amortizing the wake cost at load
+ *   pop         popBatch, the one pop: each worker owns one shard
+ *               (SPSC-ish: one consumer, any producer) and moves up to
+ *               batchMax requests under one lock acquisition,
+ *               amortizing the wake cost at load; kShardedSteal lets
+ *               a dry worker take a batch from a sibling's shard
+ *               instead of idling
  *
  * Policy kSingleQueue degenerates to exactly the old behavior (one
- * shard, scalar pop, every worker on it) and stays selectable as the
- * measured baseline — fig9_port_scaling sweeps the three policies
- * against each other.
+ * shard, batchMax 1 — a request per pop — every worker on it) and
+ * stays selectable as the measured baseline — fig9_port_scaling
+ * sweeps the three policies against each other.
  *
  * Any transport sits on this through the ServerPort interface
  * (core/transport.h): both InProcessTransport and net/ TcpServer
@@ -55,7 +56,7 @@
 namespace tb::core {
 
 enum class QueuePolicy {
-    kSingleQueue,   // one shared queue, scalar pop (the baseline)
+    kSingleQueue,   // one shared queue, one request per pop (baseline)
     kSharded,       // per-worker shards, batched pop
     kShardedSteal,  // kSharded + work stealing when a shard runs dry
 };
@@ -86,16 +87,16 @@ struct PortOptions {
     unsigned shards = 0;
     /** Max requests one recvReqBatch may return — the one batch-size
      * knob (the ServiceLoop passes only a sanity bound). Forced to 1
-     * under kSingleQueue — the baseline keeps its scalar pop. */
+     * under kSingleQueue — the baseline pops one request at a time. */
     size_t batchMax = 16;
 };
 
 /**
  * The sharded (or single, per policy) request dispatch structure.
- * push may be called from any producer thread; pop/popBatch from the
+ * push may be called from any producer thread; popBatch from the
  * service workers, each of which must bind() its worker index first
  * (unbound threads use shard 0). close() ends the stream: pops drain
- * the backlog, then return false/0.
+ * the backlog, then return 0.
  */
 class RequestPool {
   public:
@@ -121,15 +122,12 @@ class RequestPool {
      */
     void pushBatch(std::vector<Request>& reqs);
 
-    /** Blocking scalar pop from the bound shard (stealing from
-     * siblings under kShardedSteal). False when closed and — for the
-     * bound shard, plus all shards under steal — drained. */
-    bool pop(Request& out);
-
     /**
-     * Blocking batched pop: up to min(max, batchMax) requests in one
-     * lock acquisition, preferring the bound shard. Returns the count;
-     * 0 only when the stream is finished (same condition as pop).
+     * Blocking pop: up to min(max, batchMax) requests into @p out
+     * (cleared first) in one lock acquisition, from the bound shard
+     * or — under kShardedSteal — a sibling's. Returns the count; 0
+     * only when the stream is finished: closed and drained, for the
+     * bound shard plus, under steal, every shard.
      */
     size_t popBatch(std::vector<Request>& out, size_t max);
 
@@ -150,7 +148,6 @@ class RequestPool {
   private:
     unsigned boundShard() const;
     unsigned placeShard(const Request& req, unsigned shards);
-    bool stealFrom(unsigned thief, Request& out);
     size_t stealBatchFrom(unsigned thief, std::vector<Request>& out,
                           size_t max);
     bool finishedAfterClose(unsigned shard) const;

@@ -5,30 +5,27 @@ namespace tb::core {
 Transport::~Transport() = default;
 ServerPort::~ServerPort() = default;
 
-size_t
-ServerPort::recvReqBatch(std::vector<Request>& out, size_t max)
-{
-    out.clear();
-    if (max == 0)
-        return 0;
-    Request req;
-    if (!recvReq(req))
-        return 0;
-    out.push_back(std::move(req));
-    return 1;
-}
-
 void
 ServerPort::bindWorker(unsigned)
 {
 }
 
-void
-ServerPort::sendRespBatch(std::vector<Response>& resps)
+bool
+ServerPort::recvReq(Request& out)
 {
-    for (Response& resp : resps)
-        sendResp(std::move(resp));
-    resps.clear();
+    std::vector<Request> one;
+    if (recvReqBatch(one, 1) == 0)
+        return false;
+    out = std::move(one[0]);
+    return true;
+}
+
+void
+ServerPort::sendResp(Response&& resp)
+{
+    std::vector<Response> one;
+    one.push_back(std::move(resp));
+    sendRespBatch(one);
 }
 
 InProcessTransport::InProcessTransport(const PortOptions& opts)
@@ -61,12 +58,6 @@ InProcessTransport::finishSend()
     requests_.close();
 }
 
-bool
-InProcessTransport::Port::recvReq(Request& out)
-{
-    return owner_.requests_.pop(out);
-}
-
 size_t
 InProcessTransport::Port::recvReqBatch(std::vector<Request>& out,
                                        size_t max)
@@ -78,12 +69,6 @@ void
 InProcessTransport::Port::bindWorker(unsigned worker)
 {
     owner_.requests_.bind(worker);
-}
-
-void
-InProcessTransport::Port::sendResp(Response&& resp)
-{
-    owner_.responses_.push(std::move(resp));
 }
 
 void

@@ -10,8 +10,8 @@
  * loopback socket, real NIC — lives behind this pair of interfaces:
  *
  *   client side                      server side
- *   Transport::sendRequest   --->   ServerPort::recvReq
- *   Transport::recvResponse  <---   ServerPort::sendResp
+ *   Transport::sendRequest   --->   ServerPort::recvReqBatch
+ *   Transport::recvResponse  <---   ServerPort::sendRespBatch
  *
  * The LoadClient (core/client.h) drives the client side; the
  * ServiceLoop (core/service.h) drives the server side. Neither knows
@@ -69,54 +69,52 @@ class Transport {
     virtual void finishSend() = 0;
 };
 
-/** Server side of a harness transport — the paper's tb_recv_req /
- * tb_send_resp pair, consumed by the shared ServiceLoop. */
+/**
+ * Server side of a harness transport — the paper's tb_recv_req /
+ * tb_send_resp pair, consumed by the shared ServiceLoop. The batch
+ * calls are the port contract: a port that can coalesce (one queue
+ * hand-off, one socket write, one cross-thread wake per run) gets
+ * every run whole, and a port that cannot handles a batch of one.
+ */
 class ServerPort {
   public:
     virtual ~ServerPort();
 
-    /** Blocks for the next request; false when the client finished
-     * sending and the backlog is drained — workers exit then. May be
-     * called from many worker threads. */
-    virtual bool recvReq(Request& out) = 0;
-
     /**
-     * Batched variant: blocks like recvReq, then delivers up to
-     * @p max requests into @p out (cleared first). Returns the count;
-     * 0 means the stream is finished, exactly like recvReq's false.
-     * The default degrades to one scalar recvReq, so ports without a
-     * batch-capable queue behind them need not override — the shared
-     * ServiceLoop always calls this form.
+     * Blocks for the next request, then delivers up to @p max
+     * requests into @p out (cleared first). Returns the count; 0
+     * means the client finished sending and the backlog is drained —
+     * workers exit then. May be called from many worker threads.
      */
-    virtual size_t recvReqBatch(std::vector<Request>& out, size_t max);
+    virtual size_t recvReqBatch(std::vector<Request>& out,
+                                size_t max) = 0;
 
     /**
      * Called once by each service worker (with its 0-based index)
-     * before its first recvReq, from the worker's own thread. Ports
-     * with per-worker state — the sharded RequestPool binds the
+     * before its first recvReqBatch, from the worker's own thread.
+     * Ports with per-worker state — the sharded RequestPool binds the
      * calling thread to its shard here — override it; the default is
      * a no-op.
      */
     virtual void bindWorker(unsigned worker);
 
-    /** Delivers one completed response toward the client. May be
-     * called from many worker threads. */
-    virtual void sendResp(Response&& resp) = 0;
-
-    /**
-     * Batched variant: delivers every response in @p resps (emptied on
-     * return, capacity kept for the caller's reuse). The ServiceLoop
-     * sends each recvReqBatch's worth of responses through this, so a
-     * port that can coalesce — one queue hand-off, one socket write,
-     * one cross-thread wake for the run — gets the whole batch at
-     * once. The default degrades to per-response sendResp. May be
-     * called from many worker threads.
-     */
-    virtual void sendRespBatch(std::vector<Response>& resps);
+    /** Delivers every response in @p resps toward the client (emptied
+     * on return, capacity kept for the caller's reuse). May be called
+     * from many worker threads. */
+    virtual void sendRespBatch(std::vector<Response>& resps) = 0;
 
     /** Called exactly once, by the last worker to exit the service
-     * loop: no further sendResp will happen. */
+     * loop: no further sendRespBatch will happen. */
     virtual void closeResponses() = 0;
+
+    /**
+     * Scalar forms: a batch of one through the calls above. Nothing
+     * in the library calls them; they stay virtual only because the
+     * benchmark's traced port decorator (perfbench/src/layers.h)
+     * overrides them, and the next benchmark change may drop them.
+     */
+    virtual bool recvReq(Request& out);
+    virtual void sendResp(Response&& resp);
 };
 
 /**
@@ -147,11 +145,9 @@ class InProcessTransport final : public Transport {
     class Port final : public ServerPort {
       public:
         explicit Port(InProcessTransport& owner) : owner_(owner) {}
-        bool recvReq(Request& out) override;
         size_t recvReqBatch(std::vector<Request>& out,
                             size_t max) override;
         void bindWorker(unsigned worker) override;
-        void sendResp(Response&& resp) override;
         void sendRespBatch(std::vector<Response>& resps) override;
         void closeResponses() override;
 

@@ -100,17 +100,6 @@ ioOptionsFromEnv()
     }
     io.reactors = static_cast<unsigned>(
         util::envU64("TAILBENCH_REACTORS", 0, 1, 1024));
-    // envFlag is presence-only, but this knob's interesting direction
-    // is *disabling* a default-on optimization, so parse the value.
-    if (const char* v = util::envString("TAILBENCH_PAYLOAD_ARENA")) {
-        const std::string arena = v;
-        if (arena == "0" || arena == "off" || arena == "false")
-            io.payloadArena = false;
-        else if (arena != "1" && arena != "on" && arena != "true")
-            TB_LOG_WARN("TAILBENCH_PAYLOAD_ARENA=\"%s\" is not 0|1; "
-                        "keeping arena on",
-                        v);
-    }
     return io;
 }
 
@@ -132,8 +121,8 @@ ioOptionsFromEnv()
  */
 class Reactor {
   public:
-    Reactor(ReactorPool& pool, unsigned index, bool payloadArena)
-        : pool_(pool), index_(index), arena_enabled_(payloadArena)
+    Reactor(ReactorPool& pool, unsigned index)
+        : pool_(pool), index_(index)
     {
     }
 
@@ -223,10 +212,10 @@ class Reactor {
         {
             util::MutexLock lock(c->out_mu);
             if (c->fd >= 0) {
+                size_t sent = 0;
                 if (c->out_head >= c->out.size()) {
                     c->out.clear();
                     c->out_head = 0;
-                    size_t sent = 0;
                     while (sent < total) {
                         const ssize_t w =
                             ::send(c->fd, bytes + sent, total - sent,
@@ -243,14 +232,13 @@ class Reactor {
                         // error, close — fd teardown is loop-only).
                         break;
                     }
-                    if (sent < total) {
-                        c->out.insert(c->out.end(), bytes + sent,
-                                      bytes + total);
-                        need_notify = true;
-                    }
-                } else {
-                    // Backlog exists: order the run behind it.
-                    c->out.insert(c->out.end(), bytes, bytes + total);
+                }
+                // A partial write, or a backlog this run must queue
+                // behind, leaves the rest to EPOLLOUT continuation.
+                if (sent < total) {
+                    c->out.insert(c->out.end(), bytes + sent,
+                                  bytes + total);
+                    util::probe::add(util::probe::kRespDeferred);
                     need_notify = true;
                 }
             }
@@ -693,8 +681,7 @@ class Reactor {
      * hands the whole batch to the RequestPool at once: one queue
      * lock and at most one consumer wakeup per read window instead of
      * one per frame. Payloads are copied into the per-reactor arena
-     * (or an owning string when the arena is disabled) — the view
-     * decode itself allocates nothing. */
+     * — the view decode itself allocates nothing. */
     bool
     drainFrames(RConn* c, const uint8_t* data, size_t len,
                 size_t& used)
@@ -720,10 +707,7 @@ class Reactor {
             const std::string_view payload(
                 reinterpret_cast<const char*>(view.payload),
                 view.payloadLen);
-            if (arena_enabled_)
-                req.payload = arena_.store(payload);
-            else
-                req.payload = std::string(payload);
+            req.payload = arena_.store(payload);
             batch_.push_back(std::move(req));
             used += consumed;
         }
@@ -895,7 +879,6 @@ class Reactor {
      * producer (store), worker-held PayloadRefs release from any
      * thread. */
     util::PayloadArena arena_;
-    const bool arena_enabled_;
     /** Per-read-window request batch; loop-thread-only, reused so the
      * steady state allocates nothing (pushBatch returns capacity). */
     std::vector<core::Request> batch_;
@@ -919,14 +902,13 @@ class Reactor {
 
 // ----------------------------------------------------------- ReactorPool
 
-ReactorPool::ReactorPool(core::RequestPool& sink, unsigned reactors,
-                         bool payloadArena)
-    : sink_(sink), payload_arena_(payloadArena)
+ReactorPool::ReactorPool(core::RequestPool& sink, unsigned reactors)
+    : sink_(sink)
 {
     const unsigned n = reactors == 0 ? kDefaultReactors : reactors;
     reactors_.reserve(n);
     for (unsigned i = 0; i < n; i++) {
-        auto r = std::make_unique<Reactor>(*this, i, payload_arena_);
+        auto r = std::make_unique<Reactor>(*this, i);
         if (!r->init()) {
             TB_LOG_ERROR("reactor %u: init failed: %s", i,
                          std::strerror(errno));

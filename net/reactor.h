@@ -38,8 +38,7 @@
  * read scratch and each connection's input/output buffers grow once
  * and are reused for the connection's whole life, and decoded request
  * payloads are copied into a per-reactor epoch-recycled bump arena
- * (util/arena.h; TAILBENCH_PAYLOAD_ARENA=0 falls back to owning
- * std::string payloads for A/B measurement).
+ * (util/arena.h).
  *
  * Close protocol mirrors the thread-per-connection backend: a
  * connection is closed by whichever event makes (read-side closed &&
@@ -76,16 +75,12 @@ struct IoOptions {
     /** Reactor (event-loop) threads; 0 = default (2). Ignored under
      * kThreads. */
     unsigned reactors = 0;
-    /** Store decoded request payloads in the per-reactor bump arena
-     * (steady-state allocation-free). Off = owning std::string per
-     * payload, kept as the measurable baseline. kReactor only. */
-    bool payloadArena = true;
 };
 
-/** TAILBENCH_IO_MODE=threads|reactor, TAILBENCH_REACTORS=<n>,
- * TAILBENCH_PAYLOAD_ARENA=0|1 — with the same warn-and-keep-default
- * handling of malformed values as every other env knob (a typo must
- * not silently flip the measured configuration). */
+/** TAILBENCH_IO_MODE=threads|reactor, TAILBENCH_REACTORS=<n> — with
+ * the same warn-and-keep-default handling of malformed values as
+ * every other env knob (a typo must not silently flip the measured
+ * configuration). */
 IoOptions ioOptionsFromEnv();
 
 class Reactor;
@@ -106,8 +101,7 @@ class Reactor;
  */
 class ReactorPool {
   public:
-    ReactorPool(core::RequestPool& sink, unsigned reactors,
-                bool payloadArena = true);
+    ReactorPool(core::RequestPool& sink, unsigned reactors);
     ~ReactorPool();
 
     ReactorPool(const ReactorPool&) = delete;
@@ -143,7 +137,6 @@ class ReactorPool {
     core::RequestPool& sink_;
     std::vector<std::unique_ptr<Reactor>> reactors_;
     std::atomic<uint64_t> next_serial_{1};
-    const bool payload_arena_;
 };
 
 }  // namespace tb::net

@@ -143,12 +143,6 @@ class TcpServer::Port final : public core::ServerPort {
     {
     }
 
-    bool
-    recvReq(core::Request& out) override
-    {
-        return pool_.pop(out);
-    }
-
     size_t
     recvReqBatch(std::vector<core::Request>& out, size_t max) override
     {
@@ -159,12 +153,6 @@ class TcpServer::Port final : public core::ServerPort {
     bindWorker(unsigned worker) override
     {
         pool_.bind(worker);
-    }
-
-    void
-    sendResp(core::Response&& resp) override
-    {
-        server_.sendResponseRun(&resp, 1);
     }
 
     void
@@ -259,7 +247,7 @@ TcpServer::TcpServer(apps::App& app, unsigned workers, uint16_t port,
         return;
     if (io_.mode == IoMode::kReactor) {
         reactor_pool_ = std::make_unique<ReactorPool>(
-            port_obj_->pool_, io_.reactors, io_.payloadArena);
+            port_obj_->pool_, io_.reactors);
         if (reactor_pool_->reactorCount() == 0) {
             // epoll/eventfd setup failed — refuse to half-start.
             TB_LOG_ERROR("tcp server: reactor backend unavailable");
@@ -773,7 +761,7 @@ LoopbackHarness::run(apps::App& app, const core::HarnessConfig& cfg)
     core::ServiceOptions sopts;
     sopts.pinWorkers = cfg.pinWorkers;
     TcpServer server(app, workers, 0, true, opts_.port, sopts,
-                     opts_.useEnvIo ? ioOptionsFromEnv() : opts_.io);
+                     opts_.io ? *opts_.io : ioOptionsFromEnv());
     if (!server.listening()) {
         TB_LOG_ERROR("loopback harness: could not listen on "
                      "127.0.0.1");

@@ -34,6 +34,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -121,7 +122,7 @@ class TcpServer {
      * same-connection runs and empties it, keeping capacity;
      * sendResponseRun encodes a run once and writes it as one write
      * under the connection lock (threads) or hands the bytes to the
-     * owning reactor. A single response is a run of 1. */
+     * owning reactor. */
     void sendResponseBatch(std::vector<core::Response>& resps);
     void sendResponseRun(const core::Response* rs, size_t n);
     void closeConn(const std::shared_ptr<Conn>& conn);
@@ -242,13 +243,11 @@ struct LoopbackOptions {
     /** Server-side request-queue policy (shards == 0 resolves to the
      * run's worker count). */
     core::PortOptions port;
-    /** True (default): the server's IO backend comes from
-     * ioOptionsFromEnv() so TAILBENCH_IO_MODE flips this harness like
-     * every other. False: use the programmatic `io` below — for
-     * drivers that compare or pin backends (fig10's sweeps, fig11's
-     * pinned reactor column) regardless of the environment. */
-    bool useEnvIo = true;
-    IoOptions io;
+    /** The server's IO backend. Unset (default): ioOptionsFromEnv(),
+     * so TAILBENCH_IO_MODE flips this harness like every other. Set:
+     * pinned regardless of the environment — for drivers that compare
+     * or pin backends (fig11's reactor column). */
+    std::optional<IoOptions> io;
 };
 
 class LoopbackHarness final : public core::Harness {

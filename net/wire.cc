@@ -3,20 +3,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <cstring>
 
 namespace tb::net {
 
 namespace {
 
-constexpr size_t kReqHeaderBytes = kRequestHeaderBytes;
-constexpr size_t kRespHeaderBytes = kResponseFrameBytes;
-
-static_assert(kReqHeaderBytes == 4 + 4 + 8 + 8,
+static_assert(kRequestHeaderBytes == 4 + 4 + 8 + 8,
               "request header layout changed");
-static_assert(kRespHeaderBytes == 4 + 4 + 8 + 8 + 8 + 8 + 8,
+static_assert(kResponseFrameBytes == 4 + 4 + 8 + 8 + 8 + 8 + 8,
               "response frame layout changed");
 
 void
@@ -71,39 +66,36 @@ readExact(ByteStream& s, uint8_t* buf, size_t len)
     return WireResult::kOk;
 }
 
-/** Read-only ByteStream over a byte window — adapts a reactor's input
- * buffer to the stream decoders once a full frame is known present. */
-class BufStream final : public ByteStream {
-  public:
-    BufStream(const uint8_t* data, size_t len)
-        : data_(data), len_(len)
-    {
-    }
+/**
+ * The request header check both request decoders share: magic and
+ * payload bound, validated on as much of the first 8 bytes as @p len
+ * covers — so the window decoder rejects a hostile prefix before its
+ * claimed payload is buffered, and the stream decoder before it
+ * allocates.
+ */
+bool
+requestHeaderValid(const uint8_t* hdr, size_t len)
+{
+    if (len >= 4 && get32(hdr) != kRequestMagic)
+        return false;
+    return len < 8 || get32(hdr + 4) <= kMaxPayloadBytes;
+}
 
-    ssize_t
-    readSome(void* buf, size_t len) override
-    {
-        const size_t n = std::min(len, len_ - pos_);
-        if (n == 0)
-            return 0;  // EOF: window exhausted
-        std::memcpy(buf, data_ + pos_, n);
-        pos_ += n;
-        return static_cast<ssize_t>(n);
-    }
-
-    ssize_t
-    writeSome(const void*, size_t) override
-    {
-        return -1;  // read-only
-    }
-
-    size_t consumed() const { return pos_; }
-
-  private:
-    const uint8_t* data_;
-    size_t len_;
-    size_t pos_ = 0;
-};
+/** The one response decoder: a full kResponseFrameBytes frame; false
+ * on a bad magic or a nonzero reserved word. */
+bool
+decodeResponseFrame(const uint8_t* frame, core::Response& out)
+{
+    if (get32(frame) != kResponseMagic || get32(frame + 4) != 0)
+        return false;
+    out.id = get64(frame + 8);
+    out.checksum = get64(frame + 16);
+    out.ctx = 0;
+    out.timing.genNs = static_cast<int64_t>(get64(frame + 24));
+    out.timing.startNs = static_cast<int64_t>(get64(frame + 32));
+    out.timing.endNs = static_cast<int64_t>(get64(frame + 40));
+    return true;
+}
 
 }  // namespace
 
@@ -136,7 +128,7 @@ sendRequestFrame(ByteStream& s, const core::Request& req)
     const std::string_view payload = req.payload.view();
     if (payload.size() > kMaxPayloadBytes)
         return false;
-    uint8_t hdr[kReqHeaderBytes];
+    uint8_t hdr[kRequestHeaderBytes];
     put32(hdr, kRequestMagic);
     put32(hdr + 4, static_cast<uint32_t>(payload.size()));
     put64(hdr + 8, req.id);
@@ -149,15 +141,13 @@ sendRequestFrame(ByteStream& s, const core::Request& req)
 WireResult
 recvRequestFrame(ByteStream& s, core::Request& out)
 {
-    uint8_t hdr[kReqHeaderBytes];
+    uint8_t hdr[kRequestHeaderBytes];
     const WireResult hr = readExact(s, hdr, sizeof(hdr));
     if (hr != WireResult::kOk)
         return hr;
-    if (get32(hdr) != kRequestMagic)
+    if (!requestHeaderValid(hdr, sizeof(hdr)))
         return WireResult::kBadFrame;
     const uint32_t payload_len = get32(hdr + 4);
-    if (payload_len > kMaxPayloadBytes)
-        return WireResult::kBadFrame;
     out.id = get64(hdr + 8);
     out.genNs = static_cast<int64_t>(get64(hdr + 16));
     out.ctx = 0;  // routing context is per-hop, never wire-carried
@@ -182,42 +172,22 @@ encodeResponseFrame(uint8_t* out, const core::Response& resp)
     put64(out + 40, static_cast<uint64_t>(resp.timing.endNs));
 }
 
-bool
-sendResponseFrame(ByteStream& s, const core::Response& resp)
-{
-    uint8_t hdr[kRespHeaderBytes];
-    encodeResponseFrame(hdr, resp);
-    return writeFull(s, hdr, sizeof(hdr));
-}
-
 WireResult
 recvResponseFrame(ByteStream& s, core::Response& out)
 {
-    uint8_t hdr[kRespHeaderBytes];
-    const WireResult hr = readExact(s, hdr, sizeof(hdr));
+    uint8_t frame[kResponseFrameBytes];
+    const WireResult hr = readExact(s, frame, sizeof(frame));
     if (hr != WireResult::kOk)
         return hr;
-    if (get32(hdr) != kResponseMagic || get32(hdr + 4) != 0)
-        return WireResult::kBadFrame;
-    out.id = get64(hdr + 8);
-    out.checksum = get64(hdr + 16);
-    out.ctx = 0;
-    out.timing.genNs = static_cast<int64_t>(get64(hdr + 24));
-    out.timing.startNs = static_cast<int64_t>(get64(hdr + 32));
-    out.timing.endNs = static_cast<int64_t>(get64(hdr + 40));
-    return WireResult::kOk;
+    return decodeResponseFrame(frame, out) ? WireResult::kOk
+                                           : WireResult::kBadFrame;
 }
 
 DecodeResult
 tryDecodeRequestFrameView(const uint8_t* data, size_t len,
                           RequestFrameView& out, size_t& consumed)
 {
-    // Validate as early as the bytes allow: a bad magic or oversized
-    // length must poison the connection before the peer's claimed
-    // payload is buffered, not after.
-    if (len >= 4 && get32(data) != kRequestMagic)
-        return DecodeResult::kBadFrame;
-    if (len >= 8 && get32(data + 4) > kMaxPayloadBytes)
+    if (!requestHeaderValid(data, len))
         return DecodeResult::kBadFrame;
     if (len < kRequestHeaderBytes)
         return DecodeResult::kNeedMore;
@@ -234,23 +204,6 @@ tryDecodeRequestFrameView(const uint8_t* data, size_t len,
 }
 
 DecodeResult
-tryDecodeRequestFrame(const uint8_t* data, size_t len,
-                      core::Request& out, size_t& consumed)
-{
-    RequestFrameView view;
-    const DecodeResult dr =
-        tryDecodeRequestFrameView(data, len, view, consumed);
-    if (dr != DecodeResult::kFrame)
-        return dr;
-    out.id = view.id;
-    out.genNs = view.genNs;
-    out.ctx = 0;  // routing context is per-hop, never wire-carried
-    out.payload = std::string(
-        reinterpret_cast<const char*>(view.payload), view.payloadLen);
-    return DecodeResult::kFrame;
-}
-
-DecodeResult
 tryDecodeResponseFrame(const uint8_t* data, size_t len,
                        core::Response& out, size_t& consumed)
 {
@@ -258,10 +211,9 @@ tryDecodeResponseFrame(const uint8_t* data, size_t len,
         return DecodeResult::kBadFrame;
     if (len < kResponseFrameBytes)
         return DecodeResult::kNeedMore;
-    BufStream s(data, kResponseFrameBytes);
-    if (recvResponseFrame(s, out) != WireResult::kOk)
+    if (!decodeResponseFrame(data, out))
         return DecodeResult::kBadFrame;
-    consumed = s.consumed();
+    consumed = kResponseFrameBytes;
     return DecodeResult::kFrame;
 }
 

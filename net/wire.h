@@ -21,6 +21,12 @@
  * Receivers reject frames with a bad magic or a payload length above
  * kMaxPayloadBytes *before* allocating, so a corrupt or hostile peer
  * cannot make the server allocate unbounded memory.
+ *
+ * One decoder per frame type: the stream and window request decoders
+ * share one header check, and one fixed-size response decoder serves
+ * both recvResponseFrame and tryDecodeResponseFrame. Senders encode
+ * responses with encodeResponseFrame (a whole run at a time, on the
+ * server) and requests with sendRequestFrame.
  */
 
 #include <sys/types.h>
@@ -68,7 +74,6 @@ enum class WireResult {
 bool sendRequestFrame(ByteStream& s, const core::Request& req);
 WireResult recvRequestFrame(ByteStream& s, core::Request& out);
 
-bool sendResponseFrame(ByteStream& s, const core::Response& resp);
 WireResult recvResponseFrame(ByteStream& s, core::Response& out);
 
 // --- Buffer-based (nonblocking) variants, for event-loop IO --------
@@ -76,9 +81,9 @@ WireResult recvResponseFrame(ByteStream& s, core::Response& out);
 // A reactor cannot block in readExact: its socket delivers whatever
 // bytes the kernel has, cut anywhere — possibly mid-header. These
 // entry points frame over an in-memory byte window instead of a
-// ByteStream, reusing the exact same decode path (the window is
-// adapted to a ByteStream internally), so the stream-tested framing
-// semantics and the incremental ones cannot drift apart.
+// ByteStream, through the same header check / response decoder as
+// the stream entry points, so the stream-tested framing semantics
+// and the incremental ones cannot drift apart.
 
 /** Request frame header size (magic + payloadLen + id + genNs). */
 inline constexpr size_t kRequestHeaderBytes = 24;
@@ -96,27 +101,10 @@ enum class DecodeResult {
 };
 
 /**
- * Attempts to decode one request frame from the first @p len bytes of
- * @p data. Validates the magic and payload bound as soon as enough
- * bytes exist to check them, so a hostile or corrupt peer is rejected
- * before its claimed payload is buffered. On kFrame, @p consumed is
- * the frame's total size (data beyond it is the next frame's).
- */
-DecodeResult tryDecodeRequestFrame(const uint8_t* data, size_t len,
-                                   core::Request& out,
-                                   size_t& consumed);
-
-/** Same, for the client side of an event-loop transport. */
-DecodeResult tryDecodeResponseFrame(const uint8_t* data, size_t len,
-                                    core::Response& out,
-                                    size_t& consumed);
-
-/**
  * Zero-copy view of one decoded request frame: payload points into
  * the caller's buffer, valid only until that buffer moves or is
  * reused. The reactor's allocation-free read path decodes through
- * this and copies the payload into its arena; tryDecodeRequestFrame
- * is the same decode plus an owning payload copy.
+ * this and copies the payload into its arena.
  */
 struct RequestFrameView {
     uint64_t id = 0;
@@ -125,15 +113,27 @@ struct RequestFrameView {
     uint32_t payloadLen = 0;
 };
 
-/** Like tryDecodeRequestFrame, but without materializing the payload:
- * same early magic/length validation, same consumed contract. */
+/**
+ * Attempts to decode one request frame from the first @p len bytes of
+ * @p data, without copying the payload. Validates the magic and
+ * payload bound as soon as enough bytes exist to check them, so a
+ * hostile or corrupt peer is rejected before its claimed payload is
+ * buffered. On kFrame, @p consumed is the frame's total size (data
+ * beyond it is the next frame's).
+ */
 DecodeResult tryDecodeRequestFrameView(const uint8_t* data, size_t len,
                                        RequestFrameView& out,
                                        size_t& consumed);
 
+/** Same contract, for one response frame (the client side of an
+ * event-loop transport). */
+DecodeResult tryDecodeResponseFrame(const uint8_t* data, size_t len,
+                                    core::Response& out,
+                                    size_t& consumed);
+
 /** Serializes @p resp into a caller buffer of kResponseFrameBytes —
- * the reactor write path encodes into per-task fixed storage instead
- * of allocating a stream per response. */
+ * the server encodes a whole response run into reusable per-thread
+ * storage this way, so the run leaves as one write. */
 void encodeResponseFrame(uint8_t* out, const core::Response& resp);
 
 /** ByteStream over a *connected socket* (writes use send() with

@@ -23,6 +23,7 @@
 #include "core/integrated_harness.h"
 #include "core/methodology.h"
 #include "net/server_harness.h"
+#include "util/alloc_probe.h"
 #include "util/clock.h"
 #include "util/stats.h"
 
@@ -125,25 +126,64 @@ listenLoopback(uint16_t& port)
     return lfd;
 }
 
+/** Writes one response frame the way the server does, through
+ * encodeResponseFrame, for the hand-rolled servers below. */
+bool
+writeResponseFrame(ByteStream& s, const Response& resp)
+{
+    uint8_t frame[tb::net::kResponseFrameBytes];
+    tb::net::encodeResponseFrame(frame, resp);
+    return tb::net::writeFull(s, frame, sizeof(frame));
+}
+
+/** Near-nop app whose process() blocks until open(): holding the
+ * workers lets requests queue up behind them, so a batching pool's
+ * next pop returns a real multi-request batch. */
+class GatedApp final : public tb::apps::App {
+  public:
+    const std::string& name() const override { return name_; }
+    void init(const tb::apps::AppConfig&) override {}
+    std::string genRequest(tb::util::Rng&) override { return "gated"; }
+
+    uint64_t
+    process(std::string_view request) override
+    {
+        while (!open_.load())
+            std::this_thread::sleep_for(std::chrono::microseconds(100));
+        return request.size();
+    }
+
+    int64_t serviceNsFor(std::string_view) const override { return 1; }
+    tb::apps::AppProfile profile() const override { return {}; }
+
+    void open() { open_.store(true); }
+
+  private:
+    std::string name_ = "gated";
+    std::atomic<bool> open_{false};
+};
+
 /**
- * Two concurrent clients of one server with *overlapping* request ids
- * (both send ids 0..19): each response must come back on the
- * connection its request arrived on (routing is per-connection, not
- * per-id), so each client receives exactly its own 20 responses —
+ * Two concurrent clients of one 2-worker server with *overlapping*
+ * request ids (both send ids 0..19): each response must come back on
+ * the connection its request arrived on (routing is per-connection,
+ * not per-id), so each client receives exactly its own 20 responses —
  * checked by genNs tag — and then a clean end of stream at the
- * server's FIN. With @p batchResponses false every response takes the
- * per-response path, a run of 1.
+ * server's FIN. The workers are held until both clients have sent, so
+ * requests queue up: under kSingleQueue (batchMax 1) every response
+ * is still a run of one, while under kSharded later pops return
+ * batches whose responses must coalesce into fewer writes than
+ * responses and still route per connection.
  */
 void
-checkTwoClientRouting(tb::net::IoMode mode, bool batchResponses,
-                      uint64_t seed)
+checkTwoClientRouting(tb::net::IoMode mode, tb::core::QueuePolicy policy)
 {
-    auto app = makeTestApp();
+    GatedApp app;
     tb::net::IoOptions io;
     io.mode = mode;
-    tb::core::ServiceOptions sopts;
-    sopts.batchResponses = batchResponses;
-    tb::net::TcpServer server(*app, 2, 0, true, {}, sopts, io);
+    tb::core::PortOptions popts;
+    popts.policy = policy;
+    tb::net::TcpServer server(app, 2, 0, true, popts, {}, io);
     CHECK(server.listening());
     CHECK(server.ioMode() == mode);
     if (mode == tb::net::IoMode::kReactor)
@@ -157,21 +197,26 @@ checkTwoClientRouting(tb::net::IoMode mode, bool batchResponses,
     constexpr uint64_t kN = 20;
     constexpr int64_t kTagA = 1000000;  // genNs tags per client
     constexpr int64_t kTagB = 2000000;
-    tb::util::Rng rng(seed);
+    const uint64_t writes_before =
+        tb::util::probe::value(tb::util::probe::kRespWrites);
     for (uint64_t i = 0; i < kN; i++) {
         Request ra;
         ra.id = i;
-        ra.payload = app->genRequest(rng);
+        ra.payload = "a";
         ra.genNs = kTagA + static_cast<int64_t>(i);
         a.sendRequest(std::move(ra));
         Request rb;
         rb.id = i;
-        rb.payload = app->genRequest(rng);
+        rb.payload = "b";
         rb.genNs = kTagB + static_cast<int64_t>(i);
         b.sendRequest(std::move(rb));
     }
     a.finishSend();
     b.finishSend();
+    // Let the server read the requests into the pool behind the held
+    // workers, then release them.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    app.open();
     for (const auto& [client, tag] :
          {std::make_pair(&a, kTagA), std::make_pair(&b, kTagB)}) {
         std::vector<int64_t> got;
@@ -185,6 +230,13 @@ checkTwoClientRouting(tb::net::IoMode mode, bool batchResponses,
         CHECK(got == want);
     }
     server.stop();
+    const uint64_t writes =
+        tb::util::probe::value(tb::util::probe::kRespWrites) -
+        writes_before;
+    if (policy == tb::core::QueuePolicy::kSharded)
+        CHECK(writes < 2 * kN);  // multi-response runs coalesced
+    else
+        CHECK(writes >= 2 * kN);  // one write per response at least
 }
 
 }  // namespace
@@ -231,7 +283,7 @@ main()
         in.timing.genNs = 1000;
         in.timing.startNs = 2000;
         in.timing.endNs = 3500;
-        CHECK(tb::net::sendResponseFrame(s, in));
+        CHECK(writeResponseFrame(s, in));
         Response out;
         CHECK(tb::net::recvResponseFrame(s, out) == WireResult::kOk);
         CHECK_EQ(out.id, in.id);
@@ -321,19 +373,21 @@ main()
         in.genNs = -777;
         CHECK(tb::net::sendRequestFrame(s, in));
         const std::vector<uint8_t>& bytes = s.data_;
-        Request out;
+        tb::net::RequestFrameView out;
         size_t consumed = 0;
         for (size_t len = 0; len < bytes.size(); len++)
-            CHECK(tb::net::tryDecodeRequestFrame(bytes.data(), len,
-                                                 out, consumed) ==
+            CHECK(tb::net::tryDecodeRequestFrameView(bytes.data(), len,
+                                                     out, consumed) ==
                   tb::net::DecodeResult::kNeedMore);
-        CHECK(tb::net::tryDecodeRequestFrame(bytes.data(),
-                                             bytes.size(), out,
-                                             consumed) ==
+        CHECK(tb::net::tryDecodeRequestFrameView(bytes.data(),
+                                                 bytes.size(), out,
+                                                 consumed) ==
               tb::net::DecodeResult::kFrame);
         CHECK_EQ(consumed, bytes.size());
         CHECK_EQ(out.id, in.id);
-        CHECK(out.payload == in.payload);
+        CHECK(std::string_view(
+                  reinterpret_cast<const char*>(out.payload),
+                  out.payloadLen) == in.payload.view());
         CHECK_EQ(out.genNs, in.genNs);
     }
 
@@ -362,10 +416,10 @@ main()
                                   1 + static_cast<size_t>(
                                           rng.next() % 97));
             for (;;) {
-                Request out;
+                tb::net::RequestFrameView out;
                 size_t consumed = 0;
                 const tb::net::DecodeResult dr =
-                    tb::net::tryDecodeRequestFrame(
+                    tb::net::tryDecodeRequestFrameView(
                         bytes.data() + head, avail - head, out,
                         consumed);
                 if (dr != tb::net::DecodeResult::kFrame)
@@ -373,6 +427,9 @@ main()
                 CHECK_EQ(out.id, next_id);
                 CHECK_EQ(out.genNs,
                          static_cast<int64_t>(next_id) * 3 - 10);
+                CHECK_EQ(out.payloadLen,
+                         static_cast<uint32_t>(consumed -
+                                               tb::net::kRequestHeaderBytes));
                 head += consumed;
                 next_id++;
             }
@@ -385,15 +442,17 @@ main()
     // any payload is buffered. Responses decode incrementally too.
     {
         uint8_t bad[8] = {0};
-        Request out;
+        tb::net::RequestFrameView out;
         size_t consumed = 0;
-        CHECK(tb::net::tryDecodeRequestFrame(bad, 4, out, consumed) ==
+        CHECK(tb::net::tryDecodeRequestFrameView(bad, 4, out,
+                                                 consumed) ==
               tb::net::DecodeResult::kBadFrame);
         const uint32_t magic = tb::net::kRequestMagic;
         const uint32_t huge = tb::net::kMaxPayloadBytes + 1;
         std::memcpy(bad, &magic, 4);
         std::memcpy(bad + 4, &huge, 4);
-        CHECK(tb::net::tryDecodeRequestFrame(bad, 8, out, consumed) ==
+        CHECK(tb::net::tryDecodeRequestFrameView(bad, 8, out,
+                                                 consumed) ==
               tb::net::DecodeResult::kBadFrame);
 
         MemStream s(64, 64);
@@ -403,7 +462,7 @@ main()
         rin.timing.genNs = 10;
         rin.timing.startNs = 20;
         rin.timing.endNs = 30;
-        CHECK(tb::net::sendResponseFrame(s, rin));
+        CHECK(writeResponseFrame(s, rin));
         CHECK_EQ(s.data_.size(), tb::net::kResponseFrameBytes);
         Response rout;
         for (size_t len = 0; len < s.data_.size(); len++)
@@ -451,12 +510,15 @@ main()
         server.stop();
     }
 
-    // Per-connection response routing on both IO backends, for the
-    // batched response path and the per-response (run of 1) path.
-    checkTwoClientRouting(tb::net::IoMode::kThreads, true, 11);
-    checkTwoClientRouting(tb::net::IoMode::kThreads, false, 12);
-    checkTwoClientRouting(tb::net::IoMode::kReactor, true, 17);
-    checkTwoClientRouting(tb::net::IoMode::kReactor, false, 18);
+    // Per-connection response routing on both IO backends, for runs
+    // of one (single queue) and coalesced multi-response runs
+    // (sharded).
+    tb::util::probe::setEnabled(true);
+    for (const tb::net::IoMode mode :
+         {tb::net::IoMode::kThreads, tb::net::IoMode::kReactor}) {
+        checkTwoClientRouting(mode, tb::core::QueuePolicy::kSingleQueue);
+        checkTwoClientRouting(mode, tb::core::QueuePolicy::kSharded);
+    }
 
     // LoopbackHarness end to end vs the integrated harness at the
     // same low load: same request count, the same timestamp
@@ -684,9 +746,9 @@ main()
                 buf.insert(buf.end(), tmp, tmp + n);
                 size_t head = 0;
                 for (;;) {
-                    Request req;
+                    tb::net::RequestFrameView req;
                     size_t consumed = 0;
-                    const auto r = tb::net::tryDecodeRequestFrame(
+                    const auto r = tb::net::tryDecodeRequestFrameView(
                         buf.data() + head, buf.size() - head, req,
                         consumed);
                     if (r != tb::net::DecodeResult::kFrame)
@@ -776,7 +838,7 @@ main()
                 resp.timing.startNs = 1;
                 resp.timing.endNs = 2;
                 tb::net::FdStream stream(fd);
-                CHECK(tb::net::sendResponseFrame(stream, resp));
+                CHECK(writeResponseFrame(stream, resp));
             };
             for (uint64_t i = 0; i < kBacklog; i++)
                 reply(by_conn[0], i);

@@ -6,18 +6,23 @@
 
 #include "net/reactor.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
 #include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/server_harness.h"
 #include "net/wire.h"
+#include "util/alloc_probe.h"
 #include "util/clock.h"
 #include "util/rng.h"
 
@@ -37,6 +42,58 @@ makeTestApp()
     cfg.sizeFactor = 0.05;  // mean service ~25 us
     app->init(cfg);
     return app;
+}
+
+/** Near-nop app: the hostile-peer test measures the response path,
+ * so service time only slows it down. */
+class NopApp final : public tb::apps::App {
+  public:
+    const std::string& name() const override { return name_; }
+    void init(const tb::apps::AppConfig&) override {}
+    std::string genRequest(tb::util::Rng&) override { return "x"; }
+    uint64_t process(std::string_view request) override
+    {
+        return request.size();
+    }
+    int64_t serviceNsFor(std::string_view) const override { return 1; }
+    tb::apps::AppProfile profile() const override { return {}; }
+
+  private:
+    std::string name_ = "nop";
+};
+
+/**
+ * Connects to 127.0.0.1:@p port announcing a 1460-byte MSS (set
+ * before connect, so the SYN carries it) with a fixed 64 KB receive
+ * buffer. Loopback otherwise negotiates a ~64 KB MSS, and the kernel
+ * sizes the server's send buffer in MSS units — several MB — so a
+ * non-reading client would need a huge burst before the server's
+ * sends go partial. The window still spans dozens of segments, so
+ * the transfer never stalls on zero-window probes.
+ */
+int
+connectSmallMss(uint16_t port)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    const int mss = 1460;
+    const int rcv = 64 * 1024;
+    struct sockaddr_in addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    if (::setsockopt(fd, IPPROTO_TCP, TCP_MAXSEG, &mss,
+                     sizeof(mss)) != 0 ||
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv, sizeof(rcv)) !=
+            0 ||
+        ::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
 }
 
 /** Both socket ends live in this process: N connections need ~2N fds
@@ -131,7 +188,11 @@ main()
 
     // Shutdown with connections still open and idle: stop() must
     // read-close them, drain, and join without hanging; the clients
-    // then observe EOF.
+    // then observe EOF. Each connection first completes one round
+    // trip, which proves the server accepted it: a connection still
+    // in the kernel's accept backlog when stop() shuts the listener
+    // down is reset, not closed, and its client would read
+    // ECONNRESET instead of EOF.
     {
         auto app = makeTestApp();
         tb::net::IoOptions io;
@@ -146,20 +207,18 @@ main()
             CHECK(fd >= 0);
             fds.push_back(fd);
         }
-        // One in-flight request on the first connection: its response
-        // must still be flushed through the shutdown.
         tb::util::Rng rng(37);
-        {
-            tb::net::FdStream s(fds[0]);
+        for (size_t c = 0; c < fds.size(); c++) {
+            tb::net::FdStream s(fds[c]);
             Request req;
-            req.id = 9;
+            req.id = c;
             req.payload = app->genRequest(rng);
             req.genNs = tb::util::monotonicNs();
             CHECK(tb::net::sendRequestFrame(s, req));
             Response resp;
             CHECK(tb::net::recvResponseFrame(s, resp) ==
                   tb::net::WireResult::kOk);
-            CHECK_EQ(resp.id, static_cast<uint64_t>(9));
+            CHECK_EQ(resp.id, static_cast<uint64_t>(c));
         }
         server.stop();
         for (const int fd : fds) {
@@ -171,47 +230,64 @@ main()
         }
     }
 
-    // Hostile small-buffer peer: a client with a tiny receive buffer
-    // that pipelines a deep burst WITHOUT reading forces the server's
-    // coalesced sends to go partial — the remainder must be buffered
-    // and continued via EPOLLOUT, and every response must eventually
-    // arrive intact and exactly once. This is the partial-write
-    // continuation path of the write-coalescing fast path.
+    // Hostile non-reading peer: a client that pipelines a burst whose
+    // responses far exceed what the socket buffers hold, WITHOUT
+    // reading, forces the server's coalesced sends to go partial —
+    // the remainder must be buffered and continued via EPOLLOUT, and
+    // every response must eventually arrive intact and exactly once.
+    // This is the partial-write continuation path of the
+    // write-coalescing fast path; the deferred-run counter proves it
+    // ran. The client announces a small MSS so the server's send
+    // buffer stays small (connectSmallMss); its receive window still
+    // spans dozens of segments — a window below the MSS would stall
+    // the transfer on zero-window probe backoff instead.
     {
-        auto app = makeTestApp();
+        NopApp app;
         tb::net::IoOptions io;
         io.mode = tb::net::IoMode::kReactor;
         io.reactors = 1;
-        tb::net::TcpServer server(*app, 1, 0, true, {}, {}, io);
+        tb::core::PortOptions popts;
+        popts.policy = tb::core::QueuePolicy::kSharded;
+        tb::net::TcpServer server(app, 1, 0, true, popts, {}, io);
         CHECK(server.listening());
         server.start();
 
-        const int fd = tb::net::connectTcp("127.0.0.1", server.port());
+        const int fd = connectSmallMss(server.port());
         CHECK(fd >= 0);
-        // Shrink the client's receive window so the server's socket
-        // buffer + our window fill long before the burst's responses
-        // do (2000 responses = 96 KB). Must be set before data flows.
-        int rcv = 1024;
-        CHECK(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcv,
-                           sizeof(rcv)) == 0);
+        tb::util::probe::setEnabled(true);
+        const uint64_t deferred_before =
+            tb::util::probe::value(tb::util::probe::kRespDeferred);
 
-        constexpr uint64_t kBurst = 2000;
-        tb::util::Rng rng(43);
+        // 40000 responses are 1.9 MB — over twice what the small-MSS
+        // connection's send and receive buffers absorb.
+        constexpr uint64_t kBurst = 40000;
         {
             tb::net::FdStream s(fd);
+            Request req;
+            req.payload = "x";
             for (uint64_t i = 0; i < kBurst; i++) {
-                Request req;
                 req.id = i;
-                req.payload = app->genRequest(rng);
-                req.genNs = tb::util::monotonicNs();
                 CHECK(tb::net::sendRequestFrame(s, req));
             }
             ::shutdown(fd, SHUT_WR);
         }
+        // Hold off reading until the server's sends have gone partial
+        // (or a generous deadline passes on a starved host).
+        const auto deferred = [&] {
+            return tb::util::probe::value(
+                       tb::util::probe::kRespDeferred) -
+                deferred_before;
+        };
+        const int64_t deadline =
+            tb::util::monotonicNs() + 10'000'000'000LL;
+        while (deferred() == 0 && tb::util::monotonicNs() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        CHECK(deferred() > 0);
 
         // Only now start reading: the server has been writing into a
-        // wall the whole time. Every id must come back exactly once,
-        // then clean EOF (server FIN after the last response).
+        // wall. Every id must come back exactly once — the deferred
+        // bytes through EPOLLOUT continuation — then clean EOF
+        // (server FIN after the last response).
         {
             tb::net::FdStream s(fd);
             std::set<uint64_t> ids;
@@ -219,9 +295,9 @@ main()
             for (uint64_t i = 0; i < kBurst; i++) {
                 CHECK(tb::net::recvResponseFrame(s, resp) ==
                       tb::net::WireResult::kOk);
+                CHECK(resp.id < kBurst);
                 CHECK(ids.insert(resp.id).second);
             }
-            CHECK_EQ(ids.size(), static_cast<size_t>(kBurst));
             CHECK(tb::net::recvResponseFrame(s, resp) ==
                   tb::net::WireResult::kEof);
         }

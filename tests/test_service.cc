@@ -53,12 +53,6 @@ class CountingPort final : public tb::core::ServerPort {
   public:
     explicit CountingPort(const PortOptions& opts) : pool_(opts) {}
 
-    bool
-    recvReq(Request& out) override
-    {
-        return pool_.pop(out);
-    }
-
     size_t
     recvReqBatch(std::vector<Request>& out, size_t max) override
     {
@@ -72,9 +66,9 @@ class CountingPort final : public tb::core::ServerPort {
     }
 
     void
-    sendResp(Response&& resp) override
+    sendRespBatch(std::vector<Response>& resps) override
     {
-        responses_.push(std::move(resp));
+        responses_.pushBatch(resps);
     }
 
     void
@@ -131,7 +125,7 @@ stressShutdown(QueuePolicy policy, unsigned workers, uint64_t requests)
     collector.join();
 
     CHECK_EQ(port.closes_.load(), 1u);
-    // A closeResponses racing ahead of a straggler's sendResp would
+    // A closeResponses racing ahead of a straggler's sendRespBatch would
     // end the collector early and lose that response — full delivery
     // IS the ordering check.
     CHECK_EQ(seen.size(), static_cast<size_t>(requests));
@@ -157,6 +151,31 @@ main()
     // exactly once.
     for (QueuePolicy policy : policies)
         stressShutdown(policy, 8, 0);
+
+    // The base class's scalar forms are a batch of one through the
+    // port's batch calls.
+    {
+        CountingPort port(PortOptions{});
+        for (uint64_t i = 0; i < 2; i++) {
+            Request r;
+            r.id = 10 + i;
+            port.pool_.push(std::move(r));
+        }
+        port.pool_.close();
+        tb::core::ServerPort& base = port;
+        Request req;
+        CHECK(base.recvReq(req));
+        CHECK_EQ(req.id, static_cast<uint64_t>(10));
+        CHECK(base.recvReq(req));
+        CHECK_EQ(req.id, static_cast<uint64_t>(11));
+        CHECK(!base.recvReq(req));
+        Response resp;
+        resp.id = 7;
+        base.sendResp(std::move(resp));
+        CHECK_EQ(port.responses_.size(), static_cast<size_t>(1));
+        CHECK(port.responses_.pop(resp));
+        CHECK_EQ(resp.id, static_cast<uint64_t>(7));
+    }
 
     // Pinning accounting: on Linux every worker pin succeeds and is
     // reported; with the flag off the count stays 0.

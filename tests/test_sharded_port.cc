@@ -111,15 +111,15 @@ main()
         for (uint64_t i = 0; i < 12; i++)
             pool.push(makeReq(i, /*ctx=*/6));  // 6 % 4 == shard 2
         pool.close();
-        Request out;
+        std::vector<Request> out;
         pool.bind(1);
-        CHECK(!pool.pop(out));  // shard 1 stays empty
-        pool.bind(2);
+        CHECK_EQ(pool.popBatch(out, 1), static_cast<size_t>(0));
+        pool.bind(2);  // shard 1 stayed empty; shard 2 holds all 12
         for (uint64_t i = 0; i < 12; i++) {
-            CHECK(pool.pop(out));
-            CHECK_EQ(out.id, i);
+            CHECK_EQ(pool.popBatch(out, 1), static_cast<size_t>(1));
+            CHECK_EQ(out[0].id, i);
         }
-        CHECK(!pool.pop(out));
+        CHECK_EQ(pool.popBatch(out, 1), static_cast<size_t>(0));
     }
 
     // Round-robin placement (ctx == 0) spreads evenly across shards.
@@ -130,11 +130,12 @@ main()
         pool.close();
         for (unsigned w = 0; w < 4; w++) {
             pool.bind(w);
-            Request out;
-            unsigned got = 0;
-            while (pool.pop(out))
-                got++;
-            CHECK_EQ(got, 5u);
+            std::vector<Request> out;
+            size_t got = 0;
+            size_t n = 0;
+            while ((n = pool.popBatch(out, 16)) > 0)
+                got += n;
+            CHECK_EQ(got, static_cast<size_t>(5));
         }
     }
 
@@ -209,8 +210,8 @@ main()
         std::atomic<bool> returned{false};
         std::thread consumer([&] {
             pool.bind(1);
-            Request out;
-            CHECK(!pool.pop(out));
+            std::vector<Request> out;
+            CHECK_EQ(pool.popBatch(out, 16), static_cast<size_t>(0));
             returned = true;
         });
         std::this_thread::sleep_for(std::chrono::milliseconds(20));

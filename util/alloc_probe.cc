@@ -39,6 +39,8 @@ counterName(Counter c)
         return "resp_writes";
     case kEventfdWakes:
         return "eventfd_wakes";
+    case kRespDeferred:
+        return "resp_deferred";
     case kCounterCount:
         break;
     }

@@ -4,9 +4,10 @@
 /**
  * @file
  * Hot-path overhead counters: heap allocations, queue wakeups,
- * response write syscalls, eventfd wakes. The measurement side of the
- * zero-allocation / syscall-batched serving path — microbench_hotpath
- * and fig10_connection_scaling report these per request.
+ * response write syscalls, eventfd wakes, deferred response runs.
+ * The measurement side of the zero-allocation / syscall-batched
+ * serving path — microbench_hotpath and fig10_connection_scaling
+ * report these per request.
  *
  * The allocation count comes from a global operator new replacement
  * (alloc_probe.cc) that bumps a relaxed atomic when the probe is
@@ -32,6 +33,7 @@ enum Counter : unsigned {
     kQueueNotifies,     // BlockingQueue condvar notify calls
     kRespWrites,        // server response send()/write() syscalls
     kEventfdWakes,      // reactor cross-thread eventfd writes
+    kRespDeferred,      // response runs left to EPOLLOUT continuation
     kCounterCount,
 };
 
