@@ -32,7 +32,11 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
+    bench::Runner runner(
+        "ablation_colocation",
+        "Colocation ablation: p95 sojourn (ms) at 30% load vs. batch "
+        "corunners (LLC + DRAM-bandwidth interference)");
+    const bench::BenchSettings& s = runner.settings();
 
     // One memory-bound app, one cache-resident app, one in between.
     const std::vector<std::string> app_names = {"moses", "xapian",
@@ -41,21 +45,16 @@ main()
         ? std::vector<unsigned>{0, 4}
         : std::vector<unsigned>{0, 1, 2, 4, 6};
 
-    bench::printHeader(
-        "Colocation ablation: p95 sojourn (ms) at 30% load vs. batch "
-        "corunners (LLC + DRAM-bandwidth interference)");
-
     std::printf("%-10s", "app");
     for (unsigned n : corunners)
         std::printf(" %8u co", n);
     std::printf("   worst/clean\n");
 
     for (const auto& name : app_names) {
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
         sim::SimHarness probe;
-        const double sat =
-            bench::calibrateSaturation(probe, *app, 1, s);
-        const uint64_t budget = bench::requestBudget(name, s);
+        const double sat = runner.calibrate(probe, *app, 1);
+        const uint64_t budget = runner.budget(name);
 
         std::printf("%-10s", name.c_str());
         double clean = 0.0;
@@ -64,8 +63,9 @@ main()
             sim::MachineConfig mc;
             mc.batchCorunners = n;
             sim::SimHarness h(mc);
-            const core::RunResult r = bench::measureAt(
-                h, *app, 0.3 * sat, 1, budget, s.seed);
+            const core::RunResult r = runner.measure(
+                h, *app, 0.3 * sat, 1, budget, s.seed,
+                {{"corunners", n}});
             const double p95 =
                 static_cast<double>(r.latency.sojourn.p95Ns);
             if (n == 0)
@@ -83,5 +83,5 @@ main()
         "are so short that even a few hundred ns of extra memory "
         "stall time is a large relative service-time hit, which "
         "queueing then amplifies)\n");
-    return 0;
+    return runner.finish();
 }

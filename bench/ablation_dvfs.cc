@@ -28,7 +28,8 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
+    bench::Runner runner("ablation_dvfs");
+    const bench::BenchSettings& s = runner.settings();
 
     const std::vector<std::string> app_names = {"silo", "moses"};
     const std::vector<double> freqs = s.fast
@@ -39,13 +40,12 @@ main()
     for (const auto& name : app_names) {
         bench::printHeader("DVFS ablation: " + name +
                            " across core frequency");
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
         sim::SimHarness probe;
         // Saturation measured at nominal frequency; loads below are
         // fractions of *nominal* capacity, as a governor would see them.
-        const double sat =
-            bench::calibrateSaturation(probe, *app, 1, s);
-        const uint64_t n = bench::requestBudget(name, s);
+        const double sat = runner.calibrate(probe, *app, 1);
+        const uint64_t n = runner.budget(name);
 
         std::printf("%8s %12s %12s %12s %14s\n", "GHz",
                     "svc_mean_ms", "p95@20%_ms", "p95@60%_ms",
@@ -56,10 +56,10 @@ main()
             sim::MachineConfig mc;
             mc.freqGhz = ghz;
             sim::SimHarness h(mc);
-            const core::RunResult lo = bench::measureAt(
-                h, *app, 0.2 * sat, 1, n, s.seed);
-            const core::RunResult mid = bench::measureAt(
-                h, *app, 0.6 * sat, 1, n, s.seed);
+            const core::RunResult lo = runner.measure(
+                h, *app, 0.2 * sat, 1, n, s.seed, {{"freq_ghz", ghz}});
+            const core::RunResult mid = runner.measure(
+                h, *app, 0.6 * sat, 1, n, s.seed, {{"freq_ghz", ghz}});
             const double svc_ns = lo.latency.service.meanNs;
             // Energy proxy: dynamic power ~ f * V^2 with V ~ f, so
             // energy/req ~ f^2 * busy seconds. Arbitrary units,
@@ -89,5 +89,5 @@ main()
     std::printf("\n(check: silo's service time ~ 1/f; moses flattens at "
                 "high f because DRAM stalls dominate — the slack DVFS "
                 "governors exploit)\n");
-    return 0;
+    return runner.finish();
 }

@@ -76,11 +76,11 @@ runClosedLoop(apps::App& app, unsigned clients, uint64_t per_client,
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-
-    bench::printHeader(
+    bench::Runner runner(
+        "ablation_methodology",
         "Ablation 1: closed-loop vs open-loop tail latency (img-dnn)");
-    auto app = bench::makeBenchApp("img-dnn", s);
+    const bench::BenchSettings& s = runner.settings();
+    auto app = runner.makeApp("img-dnn");
 
     // Closed loop with one in-flight request per client: the client
     // never observes queueing it causes — it cannot, by construction.
@@ -89,7 +89,7 @@ main()
 
     // Open loop at the same achieved throughput.
     core::IntegratedHarness h;
-    const core::RunResult open = bench::measureAt(
+    const core::RunResult open = runner.measure(
         h, *app, 0.9 * closed.achievedQps, 1, n, s.seed);
 
     std::printf("%-28s %10s %10s %10s\n", "load tester", "qps",
@@ -109,9 +109,10 @@ main()
 
     bench::printHeader(
         "Ablation 2: HDR histogram precision vs exact percentiles");
-    const core::RunResult r = bench::measureAt(
-        h, *app, 0.5 * closed.achievedQps, 1, s.fast ? 400 : 2000,
-        s.seed, true);
+    core::HarnessConfig hdr_cfg = runner.config(
+        0.5 * closed.achievedQps, 1, s.fast ? 400 : 2000, s.seed);
+    hdr_cfg.keepSamples = true;
+    const core::RunResult r = runner.measure(h, *app, hdr_cfg);
     std::vector<int64_t> exact;
     util::HdrHistogram hist;
     for (const auto& t : r.samples) {
@@ -130,5 +131,11 @@ main()
     }
     std::printf("(bound: ~1.2%% worst-case representation error at 100 "
                 "sub-buckets/decade)\n");
-    return 0;
+    return runner.finish([&](bench::JsonWriter& jw) {
+        jw.beginObject("closed_loop")
+            .num("achieved_qps", closed.achievedQps)
+            .num("p95_ns", closed.p95Ns)
+            .num("p99_ns", closed.p99Ns)
+            .endObject();
+    });
 }

@@ -28,7 +28,8 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
+    bench::Runner runner("ablation_sleep_states");
+    const bench::BenchSettings& s = runner.settings();
 
     // silo and specjbb: the paper's two shortest-request applications,
     // where a 100 us transition is ~ the whole service time.
@@ -42,11 +43,10 @@ main()
         bench::printHeader(
             "Sleep-state ablation: " + name +
             " p95 sojourn (ms) and %% of requests paying the wake");
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
         sim::SimHarness probe;
-        const double sat =
-            bench::calibrateSaturation(probe, *app, 1, s);
-        const uint64_t n = bench::requestBudget(name, s);
+        const double sat = runner.calibrate(probe, *app, 1);
+        const uint64_t n = runner.budget(name);
 
         std::printf("%8s", "load");
         for (double w : wake_us)
@@ -62,8 +62,9 @@ main()
                 mc.sleepEntryNs = 50'000.0;
                 mc.sleepWakeNs = w * 1000.0;
                 sim::SimHarness h(mc);
-                const core::RunResult r = bench::measureAt(
-                    h, *app, load * sat, 1, n, s.seed);
+                const core::RunResult r = runner.measure(
+                    h, *app, load * sat, 1, n, s.seed,
+                    {{"fraction", load}, {"wake_us", w}});
                 const double woke = 100.0 *
                     static_cast<double>(h.lastStats().sleepWakeups) /
                     static_cast<double>(r.latency.sojourn.count);
@@ -79,5 +80,5 @@ main()
                     "to the full transition, and the effect fades as "
                     "load rises)\n");
     }
-    return 0;
+    return runner.finish();
 }

@@ -11,8 +11,8 @@
  *                   (smoke mode for CI)
  *   TAILBENCH_PIN_WORKERS  if set, pin service worker w to CPU w so
  *                   per-worker-shard measurements are not confounded
- *                   by OS thread migration (drivers that honor it pass
- *                   it through measureAt)
+ *                   by OS thread migration (every real-time
+ *                   measurement through bench::Runner honours it)
  *   TAILBENCH_ARRIVAL (+ TAILBENCH_ARRIVAL_* shape knobs, see
  *                   core/arrival.h)  arrival process for every
  *                   measurement point: poisson|bursts|diurnal|trace
@@ -22,12 +22,16 @@
  */
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/common/app.h"
 #include "core/harness.h"
+#include "util/alloc_probe.h"
 
 namespace tb::bench {
 
@@ -48,37 +52,6 @@ struct BenchSettings {
     static BenchSettings fromEnv();
 };
 
-/** Builds and initializes an app at bench scale. */
-std::unique_ptr<apps::App> makeBenchApp(const std::string& name,
-                                        const BenchSettings& s);
-
-/**
- * Per-app request-count budget for one measurement point, sized so slow
- * apps (sphinx) stay tractable while fast apps (silo) get enough samples
- * for a stable p95.
- */
-uint64_t requestBudget(const std::string& app, const BenchSettings& s);
-
-/**
- * Measures saturation QPS of (app, harness, threads): analytic
- * estimate from a low-load service probe, refined against achieved
- * throughput under deliberate overload (robust to heavy-tailed service
- * distributions, which the probe undersamples). @p pin_workers makes
- * the overload capacity run use the same worker pinning as the
- * measurements it calibrates for — calibrating unpinned and measuring
- * pinned would put the "70% load" points at 70% of a different
- * configuration's capacity.
- */
-double calibrateSaturation(core::Harness& harness, apps::App& app,
-                           unsigned threads, const BenchSettings& s,
-                           bool pin_workers = false);
-
-/** One latency measurement at a fixed offered load. */
-core::RunResult measureAt(core::Harness& harness, apps::App& app,
-                          double qps, unsigned threads, uint64_t requests,
-                          uint64_t seed, bool keep_samples = false,
-                          bool pin_workers = false);
-
 /** Median-of-repeats latency point (robust to host scheduling noise). */
 struct RobustPoint {
     double meanNs = 0.0;
@@ -86,19 +59,6 @@ struct RobustPoint {
     double p99Ns = 0.0;
     double achievedQps = 0.0;
 };
-
-/**
- * Measures a latency point as the per-metric median across @p repeats
- * re-randomized runs (the paper's repeated-runs methodology; the median
- * additionally rejects preemption-ruined runs on shared hosts).
- */
-RobustPoint measureAtRobust(core::Harness& harness, apps::App& app,
-                            double qps, unsigned threads,
-                            uint64_t requests, uint64_t seed,
-                            unsigned repeats = 3);
-
-/** Load fractions for latency-vs-QPS sweeps (trimmed in fast mode). */
-std::vector<double> sweepFractions(const BenchSettings& s);
 
 /** Prints a "### <title>" header so bench output is greppable. */
 void printHeader(const std::string& title);
@@ -147,6 +107,8 @@ class JsonWriter {
     /** Unkeyed variants, for array elements. */
     JsonWriter& str(const std::string& v);
     JsonWriter& num(double v);
+    /** Inserts @p json, an already-encoded JSON value, verbatim. */
+    JsonWriter& raw(const char* key, const std::string& json);
 
     /** The document so far; call after the outermost end. */
     const std::string& text() const { return out_; }
@@ -161,14 +123,135 @@ class JsonWriter {
     std::vector<bool> first_;
 };
 
-/** `git rev-parse --short HEAD` of the working tree, or "unknown" —
- * the one line that ties a BENCH_*.json to the code that produced
- * it. */
-std::string gitRevision();
-
 /** Writes @p text to @p path (truncating); warns and returns false on
  * failure — a bench run must not die on a read-only results dir. */
 bool writeTextFile(const std::string& path, const std::string& text);
+
+/** One driver-specific label on a recorded point (policy, io,
+ * connections, process, ...): a string or a number. The key is a
+ * string literal; labels live only for the measure() call. */
+struct Label {
+    Label(const char* k, std::string v) : key(k), text(std::move(v)) {}
+    template <typename T,
+              typename = std::enable_if_t<std::is_arithmetic_v<T>>>
+    Label(const char* k, T v)
+        : key(k), number(static_cast<double>(v)), isNumber(true)
+    {
+    }
+
+    const char* key;
+    std::string text;
+    double number = 0.0;
+    bool isNumber = false;
+};
+using Labels = std::vector<Label>;
+
+/** Writes a driver's own top-level report keys (table1's MPKI rows,
+ * hotpath's modes and summary) into the open report object. */
+using ReportExtras = std::function<void(JsonWriter&)>;
+
+/**
+ * The one bench runner every driver's main() builds first. It parses
+ * BenchSettings once, owns the measurement operations (app setup,
+ * request budgets, saturation calibration, latency points), records
+ * every measurement as a point of one RunResult schema plus the
+ * driver's labels, and finish() writes BENCH_<key>.json with one
+ * context block: driver, git rev, build type, nproc,
+ * alloc_hook_active, the parsed settings and every TAILBENCH_*
+ * variable set. While the alloc probe is enabled, each point also
+ * carries the probe counters per request. Drivers keep their axes
+ * and their table columns.
+ *
+ * Real-time measurements honour TAILBENCH_PIN_WORKERS; the
+ * virtual-time harnesses ignore it.
+ */
+class Runner {
+  public:
+    /** Prints "### @p title" unless it is empty (drivers whose first
+     * section header depends on their loop print it themselves). */
+    explicit Runner(std::string key, const std::string& title = {});
+
+    const BenchSettings& settings() const { return s_; }
+
+    /** Builds and initializes an app at bench scale. */
+    std::unique_ptr<apps::App> makeApp(const std::string& name) const;
+
+    /**
+     * Per-app request-count budget for one measurement point, sized
+     * so slow apps (sphinx) stay tractable while fast apps (silo) get
+     * enough samples for a stable p95.
+     */
+    uint64_t budget(const std::string& app) const;
+
+    /** Load fractions for latency-vs-QPS sweeps (trimmed in fast
+     * mode). */
+    std::vector<double> fractions() const;
+
+    /**
+     * Saturation QPS of (app, harness, threads): analytic estimate
+     * from a low-load service probe, refined against achieved
+     * throughput under deliberate overload (robust to heavy-tailed
+     * service distributions, which the probe undersamples). The
+     * overload run pins workers like the measurements it calibrates
+     * for. Recorded under the report's "calibrations".
+     */
+    double calibrate(core::Harness& harness, apps::App& app,
+                     unsigned threads);
+
+    /** The standard measurement config: warmup of max(50, n/10)
+     * requests, and the environment's arrival process, SLO target,
+     * windows and worker pinning. */
+    core::HarnessConfig config(double qps, unsigned threads,
+                               uint64_t requests, uint64_t seed) const;
+
+    /** Runs one measurement with @p cfg and records it as a point. */
+    core::RunResult measure(core::Harness& harness, apps::App& app,
+                            const core::HarnessConfig& cfg,
+                            const Labels& labels = {});
+
+    /** One latency measurement at a fixed offered load. */
+    core::RunResult measure(core::Harness& harness, apps::App& app,
+                            double qps, unsigned threads,
+                            uint64_t requests, uint64_t seed,
+                            const Labels& labels = {});
+
+    /**
+     * A latency point as the per-metric median across @p repeats
+     * re-randomized runs (the paper's repeated-runs methodology; the
+     * median additionally rejects preemption-ruined runs on shared
+     * hosts). Every repeat is recorded.
+     */
+    RobustPoint measureRobust(core::Harness& harness, apps::App& app,
+                              double qps, unsigned threads,
+                              uint64_t requests, uint64_t seed,
+                              unsigned repeats,
+                              const Labels& labels = {});
+
+    /** Counter @p c's delta per request (warmup included) over the
+     * last measure(), as recorded in its point; 0 while the probe is
+     * disabled. */
+    double lastPerRequest(util::probe::Counter c) const
+    {
+        return last_probe_[c];
+    }
+
+    /** The report document: context, calibrations, points, then the
+     * driver's @p extras. */
+    std::string report(const ReportExtras& extras = {}) const;
+
+    /** Writes BENCH_<key>.json into the working directory (the notice
+     * goes to stderr, so stdout stays the driver's table). Returns 0,
+     * main()'s exit code. */
+    int finish(const ReportExtras& extras = {}) const;
+
+  private:
+    const std::string key_;
+    const BenchSettings s_;
+    /** Open arrays of encoded calibrations and points. */
+    JsonWriter calibrations_;
+    JsonWriter points_;
+    double last_probe_[util::probe::kCounterCount] = {};
+};
 
 }  // namespace tb::bench
 

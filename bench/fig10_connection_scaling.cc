@@ -14,18 +14,14 @@
  *
  * Expected shape: at a handful of connections the two backends
  * coincide (the reactor's event loop costs about what a blocked
- * reader costs). As connections grow, the threads backend's thread
- * count grows 1:1 with them — visible in the `thr` column read from
- * /proc/self/status — while the reactor column stays flat at
- * workers + reactors + client threads, with no worse saturation at
- * equal offered load. The service capacity itself is worker-bound, so
- * the `sat` columns should match across backends; what the reactor
- * buys is reaching high connection counts at all on a fixed thread
- * budget.
- *
- * Both ends run in this process (loopback), so the `thr` column
- * counts client + server threads together; the cross-backend *delta*
- * at equal connection count isolates the server's IO-thread cost.
+ * reader costs). As connections grow, the threads backend's server
+ * thread count grows 1:1 with them, while the reactor's stays flat at
+ * workers + reactors, with no worse saturation at equal offered load.
+ * The `thr` column is the server's own threads — service workers plus
+ * connection-IO threads (RunResult::ioThreads) — the cost the figure
+ * is about. The service capacity itself is worker-bound, so the `sat`
+ * columns should match across backends; what the reactor buys is
+ * reaching high connection counts at all on a fixed thread budget.
  *
  * Load is calibrated once (threads backend, minimum connection
  * count) and the same offered rates then drive every cell: the
@@ -37,22 +33,18 @@
  * down each column is what makes the cross-cell differences
  * attributable to the backend and the connection count alone.
  *
- * Besides the table, the run writes BENCH_fig10.json (run config, git
- * rev, per-cell p50/p95/p99 and achieved-vs-offered QPS) into the
- * working directory for machine-readable perf tracking.
+ * Every run lands in BENCH_fig10.json labelled with its io backend,
+ * connection count and phase (saturation or latency).
  */
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "core/client.h"
 #include "net/server_harness.h"
 #include "util/alloc_probe.h"
 #include "util/logging.h"
@@ -61,24 +53,6 @@
 using namespace tb;
 
 namespace {
-
-/** Peak process thread count, from /proc/self/status. 0 when the
- * psuedo-file is unavailable (non-Linux). */
-unsigned
-processThreads()
-{
-    FILE* f = std::fopen("/proc/self/status", "r");
-    if (f == nullptr)
-        return 0;
-    unsigned threads = 0;
-    char line[128];
-    while (std::fgets(line, sizeof(line), f) != nullptr) {
-        if (std::sscanf(line, "Threads: %u", &threads) == 1)
-            break;
-    }
-    std::fclose(f);
-    return threads;
-}
 
 /** The sweep opens conns sockets on each end of the loopback, plus
  * reader threads' incidental fds; a 1024-default soft limit (CI) dies
@@ -102,95 +76,18 @@ raiseFdLimit(unsigned max_conns)
                     static_cast<unsigned long long>(want));
 }
 
-/**
- * One (backend, connection-count) server+client composition as a
- * Harness, so calibrateSaturation / measureAt drive it like any
- * other configuration. Each run spins up a fresh loopback TcpServer
- * with the requested IO backend and a MultiConnTcpTransport with
- * `conns` persistent connections, and records the peak process
- * thread count observed while both are alive.
- */
-class ConnScaledHarness final : public core::Harness {
-  public:
-    ConnScaledHarness(const net::IoOptions& io, unsigned conns)
-        : io_(io), conns_(conns)
-    {
-    }
-
-    core::RunResult
-    run(apps::App& app, const core::HarnessConfig& cfg) override
-    {
-        if (cfg.warmupRequests + cfg.measuredRequests == 0 ||
-            cfg.qps <= 0.0)
-            return core::RunResult{};
-        core::ServiceOptions sopts;
-        sopts.pinWorkers = cfg.pinWorkers;
-        net::TcpServer server(app, cfg.workerThreads, 0, true, {},
-                              sopts, io_);
-        if (!server.listening()) {
-            TB_LOG_ERROR("fig10: could not listen on 127.0.0.1");
-            return core::RunResult{};
-        }
-        server.start();
-        net::MultiConnTcpTransport transport("127.0.0.1",
-                                             server.port(), conns_);
-        if (!transport.connected()) {
-            server.stop();
-            return core::RunResult{};
-        }
-        core::LoadClient client;
-        core::RunResult result = client.run(app, cfg, transport);
-        // Sample while the server's readers/reactors are still up:
-        // reader threads persist until stop() even after their
-        // connections drain, so this is the run's peak.
-        const unsigned threads = processThreads();
-        if (threads > peak_threads_)
-            peak_threads_ = threads;
-        server.stop();
-        result.serviceWorkers = server.workers();
-        result.pinnedWorkers = server.pinnedWorkers();
-        return result;
-    }
-
-    std::string
-    configName() const override
-    {
-        return std::string("connscaled-") + net::ioModeName(io_.mode);
-    }
-
-    unsigned peakThreads() const { return peak_threads_; }
-
-  private:
-    const net::IoOptions io_;
-    const unsigned conns_;
-    unsigned peak_threads_ = 0;
-};
-
-struct Cell {
-    std::string io;
-    unsigned conns = 0;
-    double offeredQps = 0.0;
-    double satQps = 0.0;
-    core::RunResult at70;
-    unsigned threads = 0;
-    /** Response-path write syscalls per request during the 70%-load
-     * run (kRespWrites delta / requests incl. warmup) — the
-     * coalescing win, measured. */
-    double writesPerReq = 0.0;
-};
-
 }  // namespace
 
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
+    bench::Runner runner("fig10",
+                         "Fig. 10: connection scaling — io backend x "
+                         "connection count");
+    const bench::BenchSettings& s = runner.settings();
     // Always-on here: the wr/req column is part of the figure, and
     // the counters are relaxed-atomic cheap.
     util::probe::setEnabled(true);
-    bench::printHeader(
-        "Fig. 10: connection scaling — io backend x connection "
-        "count");
 
     // Connection counts: past 1000 in both modes, so the claim
     // "reactor sustains C10k-class connection counts on a fixed
@@ -201,15 +98,15 @@ main()
         : std::vector<unsigned>{64, 256, 1024, 2048};
     raiseFdLimit(conn_counts.back());
 
-    const net::IoOptions io_threads;  // defaults: kThreads
-    net::IoOptions io_reactor;
-    io_reactor.mode = net::IoMode::kReactor;
-    const net::IoOptions io_modes[] = {io_threads, io_reactor};
+    const net::IoOptions io_modes[] = {
+        net::IoOptions{net::IoMode::kThreads},
+        net::IoOptions{net::IoMode::kReactor},
+    };
 
     const std::string app_name = "img-dnn";
     const unsigned workers = 2;
-    auto app = bench::makeBenchApp(app_name, s);
-    const uint64_t budget = bench::requestBudget(app_name, s);
+    auto app = runner.makeApp(app_name);
+    const uint64_t budget = runner.budget(app_name);
 
     // One shared calibration (threads backend, smallest connection
     // count): both backends are then measured at identical offered
@@ -218,9 +115,8 @@ main()
     // not the generator's schedule.
     double cap = 0.0;
     {
-        ConnScaledHarness h(io_threads, conn_counts.front());
-        cap = bench::calibrateSaturation(h, *app, workers, s,
-                                         s.pinWorkers);
+        net::LoopbackHarness h({conn_counts.front(), {}, io_modes[0]});
+        cap = runner.calibrate(h, *app, workers);
     }
     const double sat_offered = 20.0 * cap;
     const double lat_offered = 0.7 * cap;
@@ -236,116 +132,55 @@ main()
                 "%.0f qps\n",
                 app_name.c_str(), workers, cap, sat_offered);
     std::printf("  %6s", "conns");
-    for (int m = 0; m < 2; m++)
-        std::printf("  %8s:sat %8s %6s %7s",
-                    net::ioModeName(io_modes[m].mode), "p95@70%",
-                    "thr", "wr/req");
+    for (const net::IoOptions& io : io_modes)
+        std::printf("  %8s:sat %8s %6s %7s", net::ioModeName(io.mode),
+                    "p95@70%", "thr", "wr/req");
     std::printf("\n");
 
-    std::vector<Cell> cells;
+    // Saturation and server threads per backend at the latest (so,
+    // finally, the largest) connection count, for the summary line.
+    double sat_qps[2] = {0.0, 0.0};
+    unsigned server_threads[2] = {0, 0};
     for (unsigned conns : conn_counts) {
         std::printf("  %6u", conns);
         for (int m = 0; m < 2; m++) {
-            Cell cell;
-            cell.io = net::ioModeName(io_modes[m].mode);
-            cell.conns = conns;
-            ConnScaledHarness h(io_modes[m], conns);
+            const char* io = net::ioModeName(io_modes[m].mode);
+            net::LoopbackHarness h({conns, {}, io_modes[m]});
             // Saturation at this connection count: deep overload,
             // the median achieved QPS over repeats is the measured
             // ceiling.
             std::vector<double> achieved;
             for (unsigned rep = 0; rep < sat_reps; rep++) {
-                const core::RunResult over = bench::measureAt(
+                const core::RunResult over = runner.measure(
                     h, *app, sat_offered, workers, sat_budget,
                     s.seed + conns + 1000 * rep,
-                    /*keep_samples=*/false, s.pinWorkers);
+                    {{"io", io}, {"connections", conns},
+                     {"phase", "saturation"}});
                 achieved.push_back(over.achievedQps);
             }
-            cell.satQps = util::percentileOf(achieved, 50.0);
+            sat_qps[m] = util::percentileOf(achieved, 50.0);
             // Tail latency at equal (70% of calibrated capacity)
-            // load, with the response-write syscall count taken
-            // around the same run.
-            cell.offeredQps = lat_offered;
-            const uint64_t wr_before =
-                util::probe::value(util::probe::kRespWrites);
-            cell.at70 = bench::measureAt(
-                h, *app, cell.offeredQps, workers, budget,
-                s.seed + conns + 1, /*keep_samples=*/false,
-                s.pinWorkers);
-            const uint64_t wr_after =
-                util::probe::value(util::probe::kRespWrites);
-            const uint64_t total_reqs =
-                budget + std::max<uint64_t>(50, budget / 10);
-            cell.writesPerReq = static_cast<double>(
-                                    wr_after - wr_before) /
-                static_cast<double>(total_reqs);
-            cell.threads = h.peakThreads();
-            std::printf(" %12.0f %8s %6u %7.3f", cell.satQps,
-                        bench::fmtP95Cell(cell.at70, cell.offeredQps)
-                            .c_str(),
-                        cell.threads, cell.writesPerReq);
-            cells.push_back(std::move(cell));
+            // load, with the response-write syscalls of the same run.
+            const core::RunResult at70 = runner.measure(
+                h, *app, lat_offered, workers, budget, s.seed + conns + 1,
+                {{"io", io}, {"connections", conns},
+                 {"phase", "latency"}});
+            server_threads[m] = at70.serviceWorkers + at70.ioThreads;
+            std::printf(" %12.0f %8s %6u %7.3f", sat_qps[m],
+                        bench::fmtP95Cell(at70, lat_offered).c_str(),
+                        server_threads[m],
+                        runner.lastPerRequest(util::probe::kRespWrites));
         }
         std::printf("\n");
     }
 
     // The tentpole claim, as a summary line: at the largest
     // connection count the threads backend has spawned about one
-    // thread per connection while the reactor column stayed flat,
-    // at no saturation cost.
-    const Cell& big_threads = cells[cells.size() - 2];
-    const Cell& big_reactor = cells[cells.size() - 1];
-    std::printf("\n  @%u conns: threads backend %u process threads, "
+    // server thread per connection while the reactor stayed flat, at
+    // no saturation cost.
+    std::printf("\n  @%u conns: threads backend %u server threads, "
                 "reactor %u; saturation reactor/threads = %.2f\n",
-                conn_counts.back(), big_threads.threads,
-                big_reactor.threads,
-                big_threads.satQps > 0.0
-                    ? big_reactor.satQps / big_threads.satQps
-                    : 0.0);
-
-    // Machine-readable report.
-    bench::JsonWriter json;
-    json.beginObject();
-    json.str("figure", "fig10_connection_scaling");
-    json.str("git_rev", bench::gitRevision());
-    json.beginObject("config");
-    json.str("app", app_name);
-    json.num("workers", workers);
-    json.num("reactors_default", 2);
-    json.num("calibrated_capacity_qps", cap);
-    json.num("saturation_offered_qps", sat_offered);
-    json.num("saturation_budget",
-             static_cast<double>(sat_budget));
-    json.num("saturation_repeats", sat_reps);
-    json.num("size_factor", s.sizeFactor);
-    json.num("seed", static_cast<double>(s.seed));
-    json.boolean("fast", s.fast);
-    json.boolean("pin_workers", s.pinWorkers);
-    json.num("request_budget", static_cast<double>(budget));
-    json.endObject();
-    json.beginArray("points");
-    for (const Cell& c : cells) {
-        json.beginObject();
-        json.str("io", c.io);
-        json.num("connections", c.conns);
-        json.num("saturation_qps", c.satQps);
-        json.num("offered_qps", c.offeredQps);
-        json.num("achieved_qps", c.at70.achievedQps);
-        json.num("p50_ns",
-                 static_cast<double>(c.at70.latency.sojourn.p50Ns));
-        json.num("p95_ns",
-                 static_cast<double>(c.at70.latency.sojourn.p95Ns));
-        json.num("p99_ns",
-                 static_cast<double>(c.at70.latency.sojourn.p99Ns));
-        json.num("process_threads", c.threads);
-        json.num("write_syscalls_per_req", c.writesPerReq);
-        json.boolean("gen_lagged",
-                     bench::genLagInvalidates(c.at70, c.offeredQps));
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    if (bench::writeTextFile("BENCH_fig10.json", json.text()))
-        std::printf("\n  wrote BENCH_fig10.json\n");
-    return 0;
+                conn_counts.back(), server_threads[0], server_threads[1],
+                sat_qps[0] > 0.0 ? sat_qps[1] / sat_qps[0] : 0.0);
+    return runner.finish();
 }

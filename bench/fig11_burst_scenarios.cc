@@ -39,26 +39,6 @@ using namespace tb;
 
 namespace {
 
-/** Like bench::measureAt, but with an explicit arrival spec and
- * windows/SLO knobs instead of the environment's. */
-core::RunResult
-measureWith(core::Harness& h, apps::App& app, double qps,
-            unsigned threads, uint64_t requests, uint64_t seed,
-            const core::ArrivalSpec& arrival, int64_t sloNs,
-            unsigned windows)
-{
-    core::HarnessConfig cfg;
-    cfg.qps = qps;
-    cfg.workerThreads = threads;
-    cfg.warmupRequests = std::max<uint64_t>(50, requests / 10);
-    cfg.measuredRequests = requests;
-    cfg.seed = seed;
-    cfg.arrival = arrival;
-    cfg.sloTargetNs = sloNs;
-    cfg.windows = windows;
-    return h.run(app, cfg);
-}
-
 /**
  * Writes a replayable trace by sampling a *harsher* on/off process
  * than the bursts column (ratio 6, duty 0.15, short 12-request bursts
@@ -92,24 +72,18 @@ writeBurstTrace(const std::string& path, uint64_t n, uint64_t seed)
     return bench::writeTextFile(path, text);
 }
 
-struct Fig11Point {
-    std::string config;
-    std::string process;
-    double offeredQps = 0.0;
-    core::RunResult result;
-};
-
 }  // namespace
 
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
+    bench::Runner runner(
+        "fig11",
         "Fig. 11: tails under non-Poisson arrivals at equal mean load");
+    const bench::BenchSettings& s = runner.settings();
 
     const std::string app_name = "img-dnn";
-    auto app = bench::makeBenchApp(app_name, s);
+    auto app = runner.makeApp(app_name);
     const unsigned threads = 2;
     // The replay trace holds kTraceGaps gaps; keeping the measured
     // count a multiple of that means the schedule covers whole trace
@@ -118,7 +92,7 @@ main()
     // the normalized total) rather than biased by a partial cycle.
     const uint64_t kTraceGaps = 64;
     uint64_t budget = std::max<uint64_t>(
-        bench::requestBudget(app_name, s), s.fast ? 1024 : 3008);
+        runner.budget(app_name), s.fast ? 1024 : 3008);
     budget = (budget + kTraceGaps - 1) / kTraceGaps * kTraceGaps;
     const unsigned windows = 8;
 
@@ -131,8 +105,7 @@ main()
     std::vector<core::Harness*> harnesses = {&integrated, &reactor_tcp};
 
     // Equal mean load for every process: 60% of integrated saturation.
-    const double sat =
-        bench::calibrateSaturation(integrated, *app, threads, s);
+    const double sat = runner.calibrate(integrated, *app, threads);
     const double qps = 0.6 * sat;
 
     // SLO target: explicit knob, else 4x the Poisson p95 of a
@@ -140,10 +113,14 @@ main()
     // fully, tight enough that burst tails visibly miss it.
     int64_t slo_ns = s.sloTargetNs;
     if (slo_ns <= 0) {
-        const core::RunResult probe = measureWith(
-            integrated, *app, 0.3 * sat, threads,
-            std::max<uint64_t>(100, budget / 4), s.seed + 7,
-            core::ArrivalSpec{}, 0, 0);
+        core::HarnessConfig cfg =
+            runner.config(0.3 * sat, threads,
+                          std::max<uint64_t>(100, budget / 4), s.seed + 7);
+        cfg.arrival = core::ArrivalSpec{};
+        cfg.sloTargetNs = 0;
+        cfg.windows = 0;
+        const core::RunResult probe =
+            runner.measure(integrated, *app, cfg, {{"phase", "slo_probe"}});
         slo_ns = 4 * probe.latency.sojourn.p95Ns;
     }
 
@@ -171,16 +148,23 @@ main()
                 app_name.c_str(), threads, qps, sat,
                 static_cast<double>(slo_ns) / 1e6, windows);
 
-    std::vector<Fig11Point> points;
-    for (core::Harness* h : harnesses) {
+    // p99[harness][process], for the headline comparison.
+    std::vector<std::vector<double>> p99(harnesses.size());
+    for (size_t hi = 0; hi < harnesses.size(); hi++) {
+        core::Harness* h = harnesses[hi];
         std::printf("\n%s:\n", h->configName().c_str());
         std::printf("  %-8s %10s %10s %10s %7s %12s %7s %4s\n",
                     "process", "p95_ms", "p99_ms", "ach_qps", "slo%",
                     "worstw_p99", "lagged", "co");
         for (size_t i = 0; i < nspecs; i++) {
-            const core::RunResult r =
-                measureWith(*h, *app, qps, threads, budget, s.seed,
-                            specs[i], slo_ns, windows);
+            core::HarnessConfig cfg =
+                runner.config(qps, threads, budget, s.seed);
+            cfg.arrival = specs[i];
+            cfg.sloTargetNs = slo_ns;
+            cfg.windows = windows;
+            const core::RunResult r = runner.measure(
+                *h, *app, cfg,
+                {{"process", core::arrivalKindName(specs[i].kind)}});
             int64_t worst_p99 = 0;
             unsigned lagged = 0;
             for (const core::WindowStats& w : r.windows) {
@@ -198,9 +182,8 @@ main()
                         bench::fmtMs(static_cast<double>(worst_p99))
                             .c_str(),
                         lagged, r.coSuspect ? "YES" : "no");
-            points.push_back({h->configName(),
-                              core::arrivalKindName(specs[i].kind), qps,
-                              r});
+            p99[hi].push_back(
+                static_cast<double>(r.latency.sojourn.p99Ns));
         }
     }
 
@@ -208,76 +191,16 @@ main()
     // arrival shape.
     std::printf("\nburst-vs-poisson p99 inflation at equal mean "
                 "load:\n");
-    for (core::Harness* h : harnesses) {
-        double poisson_p99 = 0.0;
-        for (const Fig11Point& p : points)
-            if (p.config == h->configName() && p.process == "poisson")
-                poisson_p99 =
-                    static_cast<double>(p.result.latency.sojourn.p99Ns);
-        for (const Fig11Point& p : points) {
-            if (p.config != h->configName() || p.process == "poisson")
-                continue;
-            if (poisson_p99 > 0.0)
-                std::printf("  %-10s %-8s %.2fx\n", p.config.c_str(),
-                            p.process.c_str(),
-                            static_cast<double>(
-                                p.result.latency.sojourn.p99Ns) /
-                                poisson_p99);
-        }
+    for (size_t hi = 0; hi < harnesses.size(); hi++) {
+        const double poisson_p99 = p99[hi][0];
+        for (size_t i = 1; i < nspecs && poisson_p99 > 0.0; i++)
+            std::printf("  %-10s %-8s %.2fx\n",
+                        harnesses[hi]->configName().c_str(),
+                        core::arrivalKindName(specs[i].kind),
+                        p99[hi][i] / poisson_p99);
     }
 
-    // Machine-readable report (checked warn-only by perf_check.py:
-    // equal achieved QPS across processes, bursts p99 >= poisson p99).
-    bench::JsonWriter jw;
-    jw.beginObject()
-        .str("driver", "fig11")
-        .str("git", bench::gitRevision())
-        .beginObject("config")
-        .str("app", app_name)
-        .num("threads", threads)
-        .num("size_factor", s.sizeFactor)
-        .boolean("fast", s.fast)
-        .num("seed", static_cast<double>(s.seed))
-        .num("offered_qps", qps)
-        .num("sat_qps", sat)
-        .num("slo_ms", static_cast<double>(slo_ns) / 1e6)
-        .num("windows", windows)
-        .endObject()
-        .beginArray("points");
-    for (const Fig11Point& p : points) {
-        const core::RunResult& r = p.result;
-        jw.beginObject()
-            .str("config", p.config)
-            .str("process", p.process)
-            .num("offered_qps", p.offeredQps)
-            .num("achieved_qps", r.achievedQps)
-            .num("p95_ns", static_cast<double>(r.latency.sojourn.p95Ns))
-            .num("p99_ns", static_cast<double>(r.latency.sojourn.p99Ns))
-            .num("slo_attainment", r.sloAttainment)
-            .num("max_gen_lag_ns", static_cast<double>(r.maxGenLagNs))
-            .num("co_span_stretch", r.coSpanStretch)
-            .num("co_late_frac", r.coLateFrac)
-            .boolean("co_suspect", r.coSuspect)
-            .beginArray("windows");
-        for (const core::WindowStats& w : r.windows) {
-            jw.beginObject()
-                .num("start_ns", static_cast<double>(w.startNs))
-                .num("end_ns", static_cast<double>(w.endNs))
-                .num("count", static_cast<double>(w.count))
-                .num("p50_ns", static_cast<double>(w.sojournP50Ns))
-                .num("p95_ns", static_cast<double>(w.sojournP95Ns))
-                .num("p99_ns", static_cast<double>(w.sojournP99Ns))
-                .num("max_gen_lag_ns",
-                     static_cast<double>(w.maxGenLagNs))
-                .num("slo_frac", w.sloFrac)
-                .boolean("gen_lagged", w.genLagged)
-                .endObject();
-        }
-        jw.endArray().endObject();
-    }
-    jw.endArray().endObject();
-    if (bench::writeTextFile("BENCH_fig11.json", jw.text()))
-        std::printf("\nwrote BENCH_fig11.json (%zu points)\n",
-                    points.size());
-    return 0;
+    // perf_check.py checks the report: equal achieved QPS across
+    // processes, bursts p99 >= poisson p99.
+    return runner.finish();
 }

@@ -23,16 +23,18 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader("Fig. 2: service-time CDF per application");
+    bench::Runner runner("fig2",
+                         "Fig. 2: service-time CDF per application");
 
     for (const auto& name : apps::appNames()) {
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
         core::IntegratedHarness h;
-        const double sat = bench::calibrateSaturation(h, *app, 1, s);
-        const uint64_t budget = 2 * bench::requestBudget(name, s);
-        const core::RunResult r = bench::measureAt(
-            h, *app, 0.05 * sat, 1, budget, s.seed, true);
+        const double sat = runner.calibrate(h, *app, 1);
+        core::HarnessConfig cfg = runner.config(
+            0.05 * sat, 1, 2 * runner.budget(name),
+            runner.settings().seed);
+        cfg.keepSamples = true;
+        const core::RunResult r = runner.measure(h, *app, cfg);
 
         std::vector<int64_t> svc;
         svc.reserve(r.samples.size());
@@ -59,5 +61,5 @@ main()
         std::printf("  p99/p5 spread: %.1fx %s\n", spread,
                     spread < 2.0 ? "(near-constant)" : "(wide)");
     }
-    return 0;
+    return runner.finish();
 }

@@ -18,17 +18,15 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
-        "Fig. 3: latency vs. QPS (1 worker, integrated config)");
+    bench::Runner runner(
+        "fig3", "Fig. 3: latency vs. QPS (1 worker, integrated config)");
 
     core::IntegratedHarness integrated;
     bench::SweepSpec spec;
-    spec.key = "fig3";
     spec.apps = apps::appNames();
     spec.harnesses = {&integrated};
     spec.wide = true;
     spec.seedScale = 100;
-    bench::runLatencySweep(spec, s);
-    return 0;
+    bench::runLatencySweep(spec, runner);
+    return runner.finish();
 }

@@ -21,16 +21,17 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
+    bench::Runner runner(
+        "fig4",
         "Fig. 4: p95 latency vs. QPS/thread, 1/2/4 threads (simulated)");
+    const uint64_t seed = runner.settings().seed;
 
     const char* figure_apps[] = {"silo", "masstree", "xapian", "moses"};
     for (const auto& name : figure_apps) {
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
         sim::SimHarness h;
-        const double sat1 = bench::calibrateSaturation(h, *app, 1, s);
-        const uint64_t budget = 2 * bench::requestBudget(name, s);
+        const double sat1 = runner.calibrate(h, *app, 1);
+        const uint64_t budget = 2 * runner.budget(name);
 
         std::printf("\n%s (1-thread sat ~ %.0f qps)\n", name, sat1);
         std::printf("  %8s", "qps/thr");
@@ -39,13 +40,13 @@ main()
                                   "thr").c_str());
         std::printf("\n");
 
-        for (double f : bench::sweepFractions(s)) {
+        for (double f : runner.fractions()) {
             const double per_thread_qps = f * sat1;
             std::printf("  %8.1f", per_thread_qps);
             for (unsigned threads : {1u, 2u, 4u}) {
-                const core::RunResult r = bench::measureAt(
+                const core::RunResult r = runner.measure(
                     h, *app, per_thread_qps * threads, threads, budget,
-                    s.seed + threads);
+                    seed + threads, {{"fraction", f}});
                 std::printf(" %14s",
                             bench::fmtMs(static_cast<double>(
                                 r.latency.sojourn.p95Ns)).c_str());
@@ -56,13 +57,13 @@ main()
         // Per-thread saturation throughput: measure at heavy overload.
         std::printf("  saturated qps/thread:");
         for (unsigned threads : {1u, 2u, 4u}) {
-            const core::RunResult r = bench::measureAt(
+            const core::RunResult r = runner.measure(
                 h, *app, 3.0 * sat1 * threads, threads, budget,
-                s.seed + 7 + threads);
+                seed + 7 + threads, {{"fraction", 3.0}});
             std::printf(" %u:%.0f", threads,
                         r.achievedQps / threads);
         }
         std::printf("\n");
     }
-    return 0;
+    return runner.finish();
 }

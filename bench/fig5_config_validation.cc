@@ -30,9 +30,10 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
+    bench::Runner runner(
+        "fig5",
         "Fig. 5: p95 vs. QPS across harness configurations (1 thread)");
+    const uint64_t seed = runner.settings().seed;
 
     core::IntegratedHarness integrated;
     net::LoopbackHarness loopback;
@@ -40,29 +41,30 @@ main()
     sim::SimHarness simulation;
 
     bench::SweepSpec spec;
-    spec.key = "fig5";
     spec.apps = apps::appNames();
     spec.harnesses = {&networked, &loopback, &integrated, &simulation};
     spec.calibrateIndex = 2;  // shared saturation from integrated
-    const bench::SweepOutput out = bench::runLatencySweep(spec, s);
+    const std::map<std::string, double> shared_sat =
+        bench::runLatencySweep(spec, runner);
 
     // Saturation throughput per configuration (heavy overload), and
     // the networked-vs-integrated delta the paper quotes.
     std::printf("\nsaturation deltas (achieved qps under 2.5x "
                 "overload):\n");
     for (const auto& name : spec.apps) {
-        const auto it_sat = out.satQps.find(name);
-        if (it_sat == out.satQps.end() || it_sat->second <= 0.0)
+        const auto it_sat = shared_sat.find(name);
+        if (it_sat == shared_sat.end() || it_sat->second <= 0.0)
             continue;
         const double sat = it_sat->second;
-        auto app = bench::makeBenchApp(name, s);
-        const uint64_t budget = bench::requestBudget(name, s);
+        auto app = runner.makeApp(name);
+        const uint64_t budget = runner.budget(name);
         std::printf("  %s:", name.c_str());
         std::map<std::string, double> sat_qps;
         for (core::Harness* h : spec.harnesses) {
-            const core::RunResult r = bench::measureAt(
+            const core::RunResult r = runner.measure(
                 *h, *app, 2.5 * sat, 1,
-                std::max<uint64_t>(200, budget / 2), s.seed + 99);
+                std::max<uint64_t>(200, budget / 2), seed + 99,
+                {{"fraction", 2.5}, {"sat_qps", sat}});
             sat_qps[h->configName()] = r.achievedQps;
             std::printf(" %s:%.0f", h->configName().c_str(),
                         r.achievedQps);
@@ -82,5 +84,5 @@ main()
         }
     }
     std::printf("(paper: 39%% silo, 23%% specjbb, small otherwise)\n");
-    return 0;
+    return runner.finish();
 }

@@ -24,9 +24,8 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
-        "Fig. 6: p95 vs. load for shore and img-dnn (4 setups)");
+    bench::Runner runner(
+        "fig6", "Fig. 6: p95 vs. load for shore and img-dnn (4 setups)");
 
     core::IntegratedHarness integrated;
     net::LoopbackHarness loopback;
@@ -34,13 +33,12 @@ main()
     sim::SimHarness simulation;
 
     bench::SweepSpec spec;
-    spec.key = "fig6";
     spec.apps = {"shore", "img-dnn"};
     spec.harnesses = {&networked, &loopback, &integrated, &simulation};
     spec.perHarnessLoad = true;
-    bench::runLatencySweep(spec, s);
+    bench::runLatencySweep(spec, runner);
 
     std::printf("\nExpect all four columns to be close at each load "
                 "level (the paper's Fig. 6 claim).\n");
-    return 0;
+    return runner.finish();
 }

@@ -24,9 +24,9 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
-        "Fig. 7: p95 vs. QPS/thread, 4 worker threads (4 setups)");
+    bench::Runner runner(
+        "fig7", "Fig. 7: p95 vs. QPS/thread, 4 worker threads (4 setups)");
+    const uint64_t seed = runner.settings().seed;
     constexpr unsigned kThreads = 4;
 
     core::IntegratedHarness integrated;
@@ -39,22 +39,22 @@ main()
     for (const auto& name :
          {std::string("specjbb"), std::string("masstree"),
           std::string("xapian"), std::string("img-dnn")}) {
-        auto app = bench::makeBenchApp(name, s);
-        const uint64_t budget = bench::requestBudget(name, s);
-        const double sat1 =
-            bench::calibrateSaturation(simulation, *app, 1, s);
+        auto app = runner.makeApp(name);
+        const uint64_t budget = runner.budget(name);
+        const double sat1 = runner.calibrate(simulation, *app, 1);
 
         std::printf("\n%s (simulated 1-thread sat ~ %.0f qps)\n",
                     name.c_str(), sat1);
         std::printf("  %10s %12s %12s %12s %12s\n", "qps/thr",
                     "networked", "loopback", "integrated", "simulation");
-        for (double f : bench::sweepFractions(s)) {
+        for (double f : runner.fractions()) {
             const double qps = f * sat1 * kThreads;
             std::printf("  %10.1f", f * sat1);
             for (core::Harness* h : configs) {
-                const core::RunResult r = bench::measureAt(
+                const core::RunResult r = runner.measure(
                     *h, *app, qps, kThreads, budget,
-                    s.seed + static_cast<uint64_t>(f * 1000));
+                    seed + static_cast<uint64_t>(f * 1000),
+                    {{"fraction", f}});
                 std::printf(" %12s",
                             bench::fmtMs(static_cast<double>(
                                 r.latency.sojourn.p95Ns)).c_str());
@@ -66,5 +66,5 @@ main()
                 "(4 workers on %u hardware threads); the simulation "
                 "column is the faithful 4-thread result.\n",
                 std::thread::hardware_concurrency());
-    return 0;
+    return runner.finish();
 }

@@ -29,12 +29,13 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
+    bench::Runner runner(
+        "fig8",
         "Fig. 8: M/G/n model vs. ideal-memory simulation (moses, silo)");
+    const bench::BenchSettings& s = runner.settings();
 
     for (const auto& name : {std::string("moses"), std::string("silo")}) {
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
 
         sim::MachineConfig ideal_mc;
         ideal_mc.idealMemory = true;
@@ -43,11 +44,11 @@ main()
         // Single-thread service distribution on the ideal-memory system
         // (the M/G/n model must use the same service times it is being
         // compared against).
-        const uint64_t budget = 2 * bench::requestBudget(name, s);
-        const core::RunResult base = bench::measureAt(
-            ideal, *app, 0.05 * bench::calibrateSaturation(ideal, *app,
-                                                           1, s),
-            1, budget, s.seed, true);
+        const uint64_t budget = 2 * runner.budget(name);
+        core::HarnessConfig base_cfg = runner.config(
+            0.05 * runner.calibrate(ideal, *app, 1), 1, budget, s.seed);
+        base_cfg.keepSamples = true;
+        const core::RunResult base = runner.measure(ideal, *app, base_cfg);
         std::vector<int64_t> service;
         for (const auto& t : base.samples)
             service.push_back(t.serviceNs());
@@ -76,7 +77,7 @@ main()
         std::printf("  %10s %10s %10s %14s %14s\n", "qps/thr",
                     "M/G/1", "M/G/4", "IdealMem(1T)", "IdealMem(4T)");
 
-        for (double f : bench::sweepFractions(s)) {
+        for (double f : runner.fractions()) {
             const double per_thread = f * sat1;
             double cols[4];
 
@@ -97,9 +98,9 @@ main()
             // Ideal-memory full simulation (sync model active).
             for (int i = 0; i < 2; i++) {
                 const unsigned n = i == 0 ? 1 : 4;
-                const core::RunResult r = bench::measureAt(
+                const core::RunResult r = runner.measure(
                     ideal, *app, per_thread * n, n, budget,
-                    s.seed + 31 + n);
+                    s.seed + 31 + n, {{"fraction", f}});
                 cols[2 + i] =
                     static_cast<double>(r.latency.sojourn.p95Ns) / norm;
             }
@@ -123,5 +124,5 @@ main()
                     "degradation (paper: moses); IdealMem(4T) >> M/G/4 "
                     "=> synchronization-bound (paper: silo).\n");
     }
-    return 0;
+    return runner.finish();
 }

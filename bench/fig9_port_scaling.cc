@@ -28,9 +28,8 @@
  * numbers are not confounded by OS migration; the header line reports
  * the pinned count actually achieved (RunResult::pinnedWorkers).
  *
- * Besides the table, the run writes BENCH_fig9.json (run config, git
- * rev, per-cell saturation and 70%-load percentiles) into the working
- * directory for machine-readable perf tracking.
+ * Every 70%-load point lands in BENCH_fig9.json labelled with its
+ * transport, policy and saturation.
  */
 
 #include <cstdio>
@@ -96,25 +95,15 @@ makeHarness(const std::string& transport, core::QueuePolicy policy)
     return std::make_unique<net::NetworkedHarness>(popts);
 }
 
-struct Cell {
-    std::string app;
-    std::string transport;
-    std::string policy;
-    unsigned workers = 0;
-    double satQps = 0.0;
-    double offeredQps = 0.0;
-    core::RunResult at70;
-};
-
 }  // namespace
 
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
-        "Fig. 9: ServerPort scaling — workers x queue policy x "
-        "transport");
+    bench::Runner runner("fig9",
+                         "Fig. 9: ServerPort scaling — workers x queue "
+                         "policy x transport");
+    const bench::BenchSettings& s = runner.settings();
     const std::vector<std::string> transports = transportsForEnv();
 
     const std::vector<std::string> app_names = s.fast
@@ -124,10 +113,9 @@ main()
         s.fast ? std::vector<unsigned>{1, 4}
                : std::vector<unsigned>{1, 2, 4};
 
-    std::vector<Cell> cells;
     for (const auto& name : app_names) {
-        auto app = bench::makeBenchApp(name, s);
-        const uint64_t budget = bench::requestBudget(name, s);
+        auto app = runner.makeApp(name);
+        const uint64_t budget = runner.budget(name);
         // sat[transport][policy][workers], for the summary lines.
         std::map<std::string,
                  std::map<core::QueuePolicy, std::map<unsigned, double>>>
@@ -147,25 +135,17 @@ main()
                 std::printf("  %7u", w);
                 for (core::QueuePolicy p : kPolicies) {
                     auto harness = makeHarness(transport, p);
-                    const double cap = bench::calibrateSaturation(
-                        *harness, *app, w, s, s.pinWorkers);
+                    const double cap =
+                        runner.calibrate(*harness, *app, w);
                     sat[transport][p][w] = cap;
                     const double qps = 0.7 * cap;
-                    const core::RunResult r = bench::measureAt(
-                        *harness, *app, qps, w, budget,
-                        s.seed + w * 17, /*keep_samples=*/false,
-                        s.pinWorkers);
+                    const core::RunResult r = runner.measure(
+                        *harness, *app, qps, w, budget, s.seed + w * 17,
+                        {{"transport", transport},
+                         {"policy", core::queuePolicyName(p)},
+                         {"sat_qps", cap}});
                     std::printf(" %17.0f %10s", cap,
                                 bench::fmtP95Cell(r, qps).c_str());
-                    Cell cell;
-                    cell.app = name;
-                    cell.transport = transport;
-                    cell.policy = core::queuePolicyName(p);
-                    cell.workers = w;
-                    cell.satQps = cap;
-                    cell.offeredQps = qps;
-                    cell.at70 = r;
-                    cells.push_back(std::move(cell));
                 }
                 std::printf("\n");
             }
@@ -198,40 +178,5 @@ main()
         std::printf("\n");
     }
 
-    // Machine-readable report, same shape as BENCH_fig10.json.
-    bench::JsonWriter json;
-    json.beginObject();
-    json.str("figure", "fig9_port_scaling");
-    json.str("git_rev", bench::gitRevision());
-    json.beginObject("config");
-    json.num("size_factor", s.sizeFactor);
-    json.num("seed", static_cast<double>(s.seed));
-    json.boolean("fast", s.fast);
-    json.boolean("pin_workers", s.pinWorkers);
-    json.endObject();
-    json.beginArray("points");
-    for (const Cell& c : cells) {
-        json.beginObject();
-        json.str("app", c.app);
-        json.str("transport", c.transport);
-        json.str("policy", c.policy);
-        json.num("workers", c.workers);
-        json.num("saturation_qps", c.satQps);
-        json.num("offered_qps", c.offeredQps);
-        json.num("achieved_qps", c.at70.achievedQps);
-        json.num("p50_ns",
-                 static_cast<double>(c.at70.latency.sojourn.p50Ns));
-        json.num("p95_ns",
-                 static_cast<double>(c.at70.latency.sojourn.p95Ns));
-        json.num("p99_ns",
-                 static_cast<double>(c.at70.latency.sojourn.p99Ns));
-        json.boolean("gen_lagged",
-                     bench::genLagInvalidates(c.at70, c.offeredQps));
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    if (bench::writeTextFile("BENCH_fig9.json", json.text()))
-        std::printf("\n  wrote BENCH_fig9.json\n");
-    return 0;
+    return runner.finish();
 }

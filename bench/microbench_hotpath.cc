@@ -30,7 +30,7 @@
  * modes is allocation-free by construction. Under ASan/TSan the
  * operator-new hook is compiled out (the sanitizer owns the
  * allocator); alloc columns then read 0 and `alloc_hook_active` in
- * the JSON says so.
+ * the report's context says so.
  *
  * Output: a "### " table plus BENCH_microbench_hotpath.json
  * (per-mode allocs/notifies/response-writes/eventfd-wakes per
@@ -262,10 +262,11 @@ runReactorBurst(apps::App& app, core::QueuePolicy policy,
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    util::probe::setEnabled(true);
-    bench::printHeader(
+    bench::Runner runner(
+        "microbench_hotpath",
         "Hot-path microbench: allocations and syscalls per request");
+    const bench::BenchSettings& s = runner.settings();
+    util::probe::setEnabled(true);
 
     const uint64_t warmup_bursts = s.fast ? 20 : 50;
     const uint64_t measured_bursts = s.fast ? 50 : 200;
@@ -331,39 +332,26 @@ main()
                 coalesce_ratio, arena_mode.allocsPerReq,
                 modes[0].allocsPerReq);
 
-    bench::JsonWriter json;
-    json.beginObject();
-    json.str("figure", "microbench_hotpath");
-    json.str("git_rev", bench::gitRevision());
-    json.boolean("alloc_hook_active", hook);
-    json.beginObject("config");
-    json.num("burst", kBurst);
-    json.num("measured_bursts",
-             static_cast<double>(measured_bursts));
-    json.num("payload_bytes",
-             static_cast<double>(sizeof(kPayload) - 1));
-    json.boolean("fast", s.fast);
-    json.endObject();
-    json.beginArray("modes");
-    for (const ModeResult& m : modes) {
-        json.beginObject();
-        json.str("mode", m.mode);
-        json.num("requests", static_cast<double>(m.requests));
-        json.num("allocs_per_req", m.allocsPerReq);
-        json.num("notifies_per_req", m.notifiesPerReq);
-        json.num("resp_writes_per_req", m.writesPerReq);
-        json.num("eventfd_wakes_per_req", m.wakesPerReq);
-        json.endObject();
-    }
-    json.endArray();
-    json.beginObject("summary");
-    json.num("coalescing_write_ratio", coalesce_ratio);
-    json.num("arena_allocs_per_req", arena_mode.allocsPerReq);
-    json.num("baseline_allocs_per_req", modes[0].allocsPerReq);
-    json.endObject();
-    json.endObject();
-    if (bench::writeTextFile("BENCH_microbench_hotpath.json",
-                             json.text()))
-        std::printf("\n  wrote BENCH_microbench_hotpath.json\n");
-    return 0;
+    return runner.finish([&](bench::JsonWriter& jw) {
+        jw.num("burst", kBurst)
+            .num("measured_bursts", static_cast<double>(measured_bursts))
+            .num("payload_bytes", static_cast<double>(sizeof(kPayload) - 1))
+            .beginArray("modes");
+        for (const ModeResult& m : modes) {
+            jw.beginObject()
+                .str("mode", m.mode)
+                .num("requests", static_cast<double>(m.requests))
+                .num("allocs_per_req", m.allocsPerReq)
+                .num("notifies_per_req", m.notifiesPerReq)
+                .num("resp_writes_per_req", m.writesPerReq)
+                .num("eventfd_wakes_per_req", m.wakesPerReq)
+                .endObject();
+        }
+        jw.endArray()
+            .beginObject("summary")
+            .num("coalescing_write_ratio", coalesce_ratio)
+            .num("arena_allocs_per_req", arena_mode.allocsPerReq)
+            .num("baseline_allocs_per_req", modes[0].allocsPerReq)
+            .endObject();
+    });
 }

@@ -6,53 +6,23 @@
 
 namespace tb::bench {
 
-namespace {
-
-void
-appendPointJson(JsonWriter& jw, const SweepPoint& p)
+std::map<std::string, double>
+runLatencySweep(const SweepSpec& spec, Runner& runner)
 {
-    const core::RunResult& r = p.result;
-    jw.beginObject()
-        .str("app", p.app)
-        .str("config", p.config)
-        .num("fraction", p.fraction)
-        .num("offered_qps", p.offeredQps)
-        .num("sat_qps", p.satQps)
-        .num("achieved_qps", r.achievedQps)
-        .num("sojourn_mean_ns", r.latency.sojourn.meanNs)
-        .num("sojourn_p50_ns", static_cast<double>(r.latency.sojourn.p50Ns))
-        .num("sojourn_p95_ns", static_cast<double>(r.latency.sojourn.p95Ns))
-        .num("sojourn_p99_ns", static_cast<double>(r.latency.sojourn.p99Ns))
-        .num("queueing_p95_ns",
-             static_cast<double>(r.latency.queueing.p95Ns))
-        .num("service_p95_ns", static_cast<double>(r.latency.service.p95Ns))
-        .num("max_gen_lag_ns", static_cast<double>(r.maxGenLagNs))
-        .boolean("gen_lag_invalid", genLagInvalidates(r, p.offeredQps));
-    if (r.sloTargetNs > 0)
-        jw.num("slo_attainment", r.sloAttainment);
-    jw.boolean("co_suspect", r.coSuspect);
-    jw.endObject();
-}
-
-}  // namespace
-
-SweepOutput
-runLatencySweep(const SweepSpec& spec, const BenchSettings& s)
-{
-    SweepOutput out;
+    std::map<std::string, double> sat_qps;
     if (spec.harnesses.empty() || spec.apps.empty()) {
-        TB_LOG_WARN("runLatencySweep(%s): no harnesses or no apps",
-                    spec.key.c_str());
-        return out;
+        TB_LOG_WARN("runLatencySweep: no harnesses or no apps");
+        return sat_qps;
     }
+    const uint64_t seed = runner.settings().seed;
     const size_t ncfg = spec.harnesses.size();
     const size_t cal =
         spec.calibrateIndex < ncfg ? spec.calibrateIndex : 0;
-    const std::vector<double> fractions = sweepFractions(s);
+    const std::vector<double> fractions = runner.fractions();
 
     for (const std::string& name : spec.apps) {
-        auto app = makeBenchApp(name, s);
-        const uint64_t budget = requestBudget(name, s);
+        auto app = runner.makeApp(name);
+        const uint64_t budget = runner.budget(name);
 
         // Saturation: one shared calibration (fractions of the
         // reference harness's capacity — absolute-QPS sweeps) or one
@@ -61,9 +31,9 @@ runLatencySweep(const SweepSpec& spec, const BenchSettings& s)
         std::vector<double> sat(ncfg, 0.0);
         if (spec.perHarnessLoad) {
             for (size_t c = 0; c < ncfg; c++) {
-                sat[c] = calibrateSaturation(*spec.harnesses[c], *app,
-                                             spec.threads, s);
-                out.satQps[name + "/" + spec.harnesses[c]->configName()] =
+                sat[c] = runner.calibrate(*spec.harnesses[c], *app,
+                                          spec.threads);
+                sat_qps[name + "/" + spec.harnesses[c]->configName()] =
                     sat[c];
             }
             std::printf("\n%s (sat:", name.c_str());
@@ -73,10 +43,10 @@ runLatencySweep(const SweepSpec& spec, const BenchSettings& s)
                             sat[c]);
             std::printf(" qps)\n");
         } else {
-            const double shared = calibrateSaturation(
-                *spec.harnesses[cal], *app, spec.threads, s);
+            const double shared = runner.calibrate(
+                *spec.harnesses[cal], *app, spec.threads);
             sat.assign(ncfg, shared);
-            out.satQps[name] = shared;
+            sat_qps[name] = shared;
             if (ncfg == 1)
                 std::printf("\n%s (sat ~ %.0f qps)\n", name.c_str(),
                             shared);
@@ -100,22 +70,20 @@ runLatencySweep(const SweepSpec& spec, const BenchSettings& s)
         }
 
         for (double f : fractions) {
+            const uint64_t point_seed = seed +
+                static_cast<uint64_t>(
+                    f * static_cast<double>(spec.seedScale));
             if (spec.wide) {
                 const double qps = f * sat[0];
-                const core::RunResult r = measureAt(
+                const core::RunResult r = runner.measure(
                     *spec.harnesses[0], *app, qps, spec.threads, budget,
-                    s.seed +
-                        static_cast<uint64_t>(
-                            f * static_cast<double>(spec.seedScale)));
+                    point_seed, {{"fraction", f}, {"sat_qps", sat[0]}});
                 std::printf("  %10.1f %12s %12s %12s %10s\n", qps,
                             fmtMs(r.latency.sojourn.meanNs).c_str(),
                             fmtP95Cell(r, qps).c_str(),
                             fmtMs(static_cast<double>(
                                 r.latency.sojourn.p99Ns)).c_str(),
                             fmtQpsCell(r, qps).c_str());
-                out.points.push_back(
-                    {name, spec.harnesses[0]->configName(), f, qps,
-                     sat[0], r});
                 continue;
             }
             if (spec.perHarnessLoad)
@@ -124,44 +92,16 @@ runLatencySweep(const SweepSpec& spec, const BenchSettings& s)
                 std::printf("  %10.1f", f * sat[0]);
             for (size_t c = 0; c < ncfg; c++) {
                 const double qps = f * sat[c];
-                const core::RunResult r = measureAt(
+                const core::RunResult r = runner.measure(
                     *spec.harnesses[c], *app, qps, spec.threads, budget,
-                    s.seed +
-                        static_cast<uint64_t>(
-                            f * static_cast<double>(spec.seedScale)));
+                    point_seed, {{"fraction", f}, {"sat_qps", sat[c]}});
                 std::printf(" %12s %8s", fmtP95Cell(r, qps).c_str(),
                             fmtQpsCell(r, qps).c_str());
-                out.points.push_back(
-                    {name, spec.harnesses[c]->configName(), f, qps,
-                     sat[c], r});
             }
             std::printf("\n");
         }
     }
-
-    // Machine-readable report.
-    JsonWriter jw;
-    jw.beginObject()
-        .str("driver", spec.key)
-        .str("git", gitRevision())
-        .beginObject("config")
-        .num("size_factor", s.sizeFactor)
-        .boolean("fast", s.fast)
-        .num("seed", static_cast<double>(s.seed))
-        .num("threads", spec.threads)
-        .str("arrival", core::arrivalKindName(s.arrival.kind))
-        .num("slo_ms", static_cast<double>(s.sloTargetNs) / 1e6)
-        .boolean("per_harness_load", spec.perHarnessLoad)
-        .endObject()
-        .beginArray("points");
-    for (const SweepPoint& p : out.points)
-        appendPointJson(jw, p);
-    jw.endArray().endObject();
-    const std::string path = "BENCH_" + spec.key + ".json";
-    if (writeTextFile(path, jw.text()))
-        std::printf("\nwrote %s (%zu points)\n", path.c_str(),
-                    out.points.size());
-    return out;
+    return sat_qps;
 }
 
 }  // namespace tb::bench

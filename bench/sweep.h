@@ -5,11 +5,10 @@
  * @file
  * The latency-vs-load sweep shared by fig3/fig5/fig6 (and reusable by
  * new drivers): calibrate saturation, measure each app at the
- * standard load fractions across one or more harness configurations,
- * print the familiar table, and emit a machine-readable
- * BENCH_<key>.json via bench::JsonWriter — so a p95 regression in any
- * sweep driver shows up as a diffable number, not only in an eyeballed
- * table (ROADMAP: machine-readable bench reports).
+ * standard load fractions across one or more harness configurations
+ * and print the familiar table. Every point goes through the
+ * driver's bench::Runner, labelled with its load fraction and the
+ * saturation it was taken of, so it lands in BENCH_<key>.json.
  */
 
 #include <map>
@@ -22,8 +21,6 @@
 namespace tb::bench {
 
 struct SweepSpec {
-    /** Report key: the JSON lands in BENCH_<key>.json. */
-    std::string key;
     std::vector<std::string> apps;
     /** Harness configurations, in column order. Non-owning. */
     std::vector<core::Harness*> harnesses;
@@ -43,30 +40,15 @@ struct SweepSpec {
     uint64_t seedScale = 1000;
 };
 
-struct SweepPoint {
-    std::string app;
-    std::string config;
-    double fraction = 0.0;
-    double offeredQps = 0.0;
-    /** Saturation the fraction was taken of (this point's harness). */
-    double satQps = 0.0;
-    core::RunResult result;
-};
-
-struct SweepOutput {
-    std::vector<SweepPoint> points;
-    /** Per-app saturation of harnesses[calibrateIndex] (or of each
-     * config under perHarnessLoad, keyed "app/config") — for driver
-     * postludes like fig5's saturation-delta comparison. */
-    std::map<std::string, double> satQps;
-};
-
 /**
- * Runs the sweep, printing per-app tables to stdout and writing
- * BENCH_<key>.json to the working directory. Invalid points keep the
- * "!" gen-lag annotation from fmtP95Cell/fmtQpsCell.
+ * Runs the sweep, printing per-app tables to stdout. Invalid points
+ * keep the "!" gen-lag annotation from fmtP95Cell/fmtQpsCell. Returns
+ * the per-app saturation of harnesses[calibrateIndex] (or of each
+ * config under perHarnessLoad, keyed "app/config"), for driver
+ * postludes like fig5's saturation-delta comparison.
  */
-SweepOutput runLatencySweep(const SweepSpec& spec, const BenchSettings& s);
+std::map<std::string, double> runLatencySweep(const SweepSpec& spec,
+                                              Runner& runner);
 
 }  // namespace tb::bench
 

@@ -18,21 +18,20 @@ using namespace tb;
 int
 main()
 {
-    const bench::BenchSettings s = bench::BenchSettings::fromEnv();
-    bench::printHeader(
-        "Table I: TailBench application characteristics");
+    bench::Runner runner(
+        "table1", "Table I: TailBench application characteristics");
+    const bench::BenchSettings& s = runner.settings();
     std::printf(
         "%-10s %8s %8s %8s %8s %8s | %34s | %34s\n", "app", "L1I",
         "L1D", "L2", "L3", "BrMPKI", "p95 ms @20/50/70% (real time)",
         "p95 ms @20/50/70% (virtual time)");
 
     for (const auto& name : apps::appNames()) {
-        auto app = bench::makeBenchApp(name, s);
+        auto app = runner.makeApp(name);
 
         // MPKIs from the simulator's accounting (zsim substitute).
         sim::SimHarness sim_h;
-        bench::measureAt(sim_h, *app, 50.0, 1,
-                         s.fast ? 150 : 400, s.seed);
+        runner.measure(sim_h, *app, 50.0, 1, s.fast ? 150 : 400, s.seed);
         const sim::MachineStats& ms = sim_h.lastStats();
 
         const double loads[3] = {0.2, 0.5, 0.7};
@@ -43,23 +42,24 @@ main()
         // the same order as whole-request latencies for the short-
         // request apps, so the real-time columns carry that noise.
         core::IntegratedHarness real_h;
-        const double sat = bench::calibrateSaturation(real_h, *app, 1, s);
-        const uint64_t budget = bench::requestBudget(name, s);
+        const double sat = runner.calibrate(real_h, *app, 1);
+        const uint64_t budget = runner.budget(name);
         double p95[3] = {0, 0, 0};
         for (int i = 0; i < 3; i++) {
-            const bench::RobustPoint pt = bench::measureAtRobust(
+            const bench::RobustPoint pt = runner.measureRobust(
                 real_h, *app, loads[i] * sat, 1, budget, s.seed + i,
-                s.fast ? 1 : 3);
+                s.fast ? 1 : 3, {{"fraction", loads[i]}});
             p95[i] = pt.p95Ns;
         }
 
         // The same points in virtual time (SimHarness): clean of host
         // noise, the configuration the paper validates in Sec. VI.
-        const double vsat = bench::calibrateSaturation(sim_h, *app, 1, s);
+        const double vsat = runner.calibrate(sim_h, *app, 1);
         double vp95[3] = {0, 0, 0};
         for (int i = 0; i < 3; i++) {
-            const core::RunResult r = bench::measureAt(
-                sim_h, *app, loads[i] * vsat, 1, budget, s.seed + i);
+            const core::RunResult r = runner.measure(
+                sim_h, *app, loads[i] * vsat, 1, budget, s.seed + i,
+                {{"fraction", loads[i]}});
             vp95[i] = static_cast<double>(r.latency.sojourn.p95Ns);
         }
 
@@ -117,42 +117,31 @@ main()
         "replacement, and inclusion victims come from the real tag "
         "arrays; \"!\" marks apps outside the calibration tolerance)\n");
 
-    // Machine-readable structural-accuracy report: per-app
-    // measured-vs-target MPKI per level, so the trajectory of the
-    // structural model is diffable across commits.
-    bench::JsonWriter json;
-    json.beginObject();
-    json.str("figure", "table1_characteristics");
-    json.str("git_rev", bench::gitRevision());
-    json.beginObject("config");
-    json.num("warmup_ki", static_cast<double>(warm));
-    json.num("measured_ki", static_cast<double>(meas));
-    json.num("size_factor", s.sizeFactor);
-    json.num("seed", static_cast<double>(s.seed));
-    json.boolean("fast", s.fast);
-    json.endObject();
-    json.beginArray("apps");
-    for (size_t i = 0; i < measured.size(); i++) {
-        const apps::AppProfile& p = targets[i];
-        const sim::MeasuredMpki& m = measured[i];
-        json.beginObject();
-        json.str("app", measured_names[i]);
-        json.num("l1i_measured", m.l1i);
-        json.num("l1i_target", p.l1iMpki);
-        json.num("l1d_measured", m.l1d);
-        json.num("l1d_target", p.l1dMpki);
-        json.num("l2_measured", m.l2);
-        json.num("l2_target", p.l2Mpki);
-        json.num("l3_measured", m.l3);
-        json.num("l3_target", p.l3MpkiFull);
-        json.num("instructions", static_cast<double>(m.instructions));
-        json.num("calibration_iterations", m.iterations);
-        json.boolean("converged", m.converged);
-        json.endObject();
-    }
-    json.endArray();
-    json.endObject();
-    if (bench::writeTextFile("BENCH_table1.json", json.text()))
-        std::printf("\nwrote BENCH_table1.json\n");
-    return 0;
+    // Structural-accuracy rows: per-app measured-vs-target MPKI per
+    // level, so the trajectory of the structural model is diffable
+    // across commits.
+    return runner.finish([&](bench::JsonWriter& jw) {
+        jw.num("warmup_ki", static_cast<double>(warm))
+            .num("measured_ki", static_cast<double>(meas))
+            .beginArray("mpki");
+        for (size_t i = 0; i < measured.size(); i++) {
+            const apps::AppProfile& p = targets[i];
+            const sim::MeasuredMpki& m = measured[i];
+            jw.beginObject()
+                .str("app", measured_names[i])
+                .num("l1i_measured", m.l1i)
+                .num("l1i_target", p.l1iMpki)
+                .num("l1d_measured", m.l1d)
+                .num("l1d_target", p.l1dMpki)
+                .num("l2_measured", m.l2)
+                .num("l2_target", p.l2Mpki)
+                .num("l3_measured", m.l3)
+                .num("l3_target", p.l3MpkiFull)
+                .num("instructions", static_cast<double>(m.instructions))
+                .num("calibration_iterations", m.iterations)
+                .boolean("converged", m.converged)
+                .endObject();
+        }
+        jw.endArray();
+    });
 }

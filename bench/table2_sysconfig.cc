@@ -16,7 +16,8 @@ using namespace tb;
 int
 main()
 {
-    bench::printHeader("Table II: experimental system configuration");
+    bench::Runner runner("table2",
+                         "Table II: experimental system configuration");
 
     std::printf("Simulated system (tb::sim, mirrors the paper's "
                 "Table II):\n");
@@ -50,5 +51,5 @@ main()
                 "multithreaded experiments here run in the\n"
                 "  virtual-time simulator (see DESIGN.md substitution "
                 "table).\n");
-    return 0;
+    return runner.finish();
 }

@@ -157,6 +157,9 @@ struct RunResult {
      */
     unsigned serviceWorkers = 0;
     unsigned pinnedWorkers = 0;
+    /** Server connection-IO threads (reader threads or reactors) the
+     * run used; 0 for in-process and external-server runs. */
+    unsigned ioThreads = 0;
     /** Per-request timings (measured window only), in generation
      * order; populated only when HarnessConfig::keepSamples. */
     std::vector<RequestTiming> samples;

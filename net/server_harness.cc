@@ -294,6 +294,13 @@ TcpServer::reactorCount() const
     return reactor_pool_ ? reactor_pool_->reactorCount() : 0;
 }
 
+unsigned
+TcpServer::ioThreads() const
+{
+    return reactor_pool_ ? reactor_pool_->reactorCount()
+                         : readers_spawned_.load(std::memory_order_relaxed);
+}
+
 void
 TcpServer::start()
 {
@@ -307,6 +314,7 @@ TcpServer::start()
     }
     for (unsigned r = 0; r < kConnReaders; r++)
         reader_threads_.emplace_back([this] { readerLoop(); });
+    readers_spawned_.store(kConnReaders, std::memory_order_relaxed);
     accept_thread_ = std::thread([this] { acceptLoop(); });
 }
 
@@ -405,6 +413,9 @@ TcpServer::acceptLoop()
         const size_t live = ++conns_live_;
         while (reader_threads_.size() < live)
             reader_threads_.emplace_back([this] { readerLoop(); });
+        readers_spawned_.store(
+            static_cast<unsigned>(reader_threads_.size()),
+            std::memory_order_relaxed);
         pending_.push(std::move(conn));
     }
 }
@@ -781,6 +792,7 @@ LoopbackHarness::run(apps::App& app, const core::HarnessConfig& cfg)
     server.stop();
     result.serviceWorkers = server.workers();
     result.pinnedWorkers = server.pinnedWorkers();
+    result.ioThreads = server.ioThreads();
     TB_LOG_DEBUG("loopback run: app=%s conns=%u queue=%s offered=%.0f "
                  "achieved=%.0f qps p95=%.3f ms",
                  app.name().c_str(), conns,
@@ -844,6 +856,7 @@ NetworkedHarness::run(apps::App& app, const core::HarnessConfig& cfg)
         server->stop();
         result.serviceWorkers = server->workers();
         result.pinnedWorkers = server->pinnedWorkers();
+        result.ioThreads = server->ioThreads();
     }
     TB_LOG_DEBUG("networked run: app=%s offered=%.0f achieved=%.0f "
                  "qps p95=%.3f ms",

@@ -104,6 +104,10 @@ class TcpServer {
     IoMode ioMode() const { return io_.mode; }
     /** Event-loop threads actually running (0 under kThreads). */
     unsigned reactorCount() const;
+    /** Connection-IO threads: the reactors, or under kThreads the
+     * reader threads spawned so far (readers live until stop(), so
+     * after a run this is its peak). Safe from any thread. */
+    unsigned ioThreads() const;
 
     void start();
     /** Stops accepting, drains the request backlog, joins every
@@ -150,6 +154,9 @@ class TcpServer {
      * a reader each for their whole life) can never starve newly
      * accepted ones. */
     std::atomic<size_t> conns_live_{0};
+    /** reader_threads_.size() as of the last spawn, readable without
+     * racing the accept thread's growth (ioThreads()). */
+    std::atomic<unsigned> readers_spawned_{0};
 
     /** Accepted connections awaiting a reader. */
     core::BlockingQueue<std::shared_ptr<Conn>> pending_;

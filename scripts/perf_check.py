@@ -12,10 +12,12 @@ and checks the headline claims. Naming reports after the directory
 checks only those (ctest's perf_hotpath gate checks
 BENCH_microbench_hotpath.json alone):
 
-  fig10      the reactor backend's saturation QPS at the largest
-             connection count must clear an absolute floor — a
-             regression that costs the C10k path an order of
-             magnitude shows up here even on a noisy CI host.
+  fig10      the reactor backend's saturation QPS (per connection
+             count the median over the repeated saturation-phase
+             runs, then the best connection count) must clear an
+             absolute floor — a regression that costs the C10k path
+             an order of magnitude shows up here even on a noisy CI
+             host.
   microbench reactor+arena steady state must be allocation-free
              (< 0.01 heap allocs/request; skipped when the JSON says
              the operator-new hook is compiled out, i.e. sanitizer
@@ -38,6 +40,7 @@ so ctest gates on them.
 
 import json
 import os
+import statistics
 import sys
 
 # Floors, not targets: an unloaded dev box exceeds these by >10x; CI
@@ -66,17 +69,24 @@ def load(path):
 
 
 def check_fig10(report):
-    """Reactor saturation at the deepest connection sweep point."""
+    """Reactor saturation: max over connection counts of the median
+    achieved QPS across that count's saturation-phase repeats."""
     failures = []
-    best = {}  # io backend -> max saturation over its sweep
+    runs = {}  # (io backend, connections) -> achieved QPS per repeat
     for point in report.get("points", []):
-        backend = point.get("io", "?")
-        sat = point.get("saturation_qps")
-        if isinstance(sat, (int, float)):
-            best[backend] = max(best.get(backend, 0.0), sat)
+        achieved = point.get("achieved_qps")
+        if point.get("phase") == "saturation" and isinstance(
+            achieved, (int, float)
+        ):
+            cell = (point.get("io", "?"), point.get("connections"))
+            runs.setdefault(cell, []).append(achieved)
+    best = {}  # io backend -> max saturation over its sweep
+    for (backend, _), achieved in runs.items():
+        best[backend] = max(best.get(backend, 0.0),
+                            statistics.median(achieved))
     sat = best.get("reactor")
     if sat is None:
-        failures.append("fig10: no reactor point carries saturation_qps")
+        failures.append("fig10: no reactor saturation-phase point")
     elif sat < FIG10_REACTOR_MIN_SAT_QPS:
         failures.append(
             f"fig10: reactor saturation {sat:.0f} qps is below the "
@@ -94,7 +104,7 @@ def check_microbench(report):
     failures = []
     modes = {m.get("mode"): m for m in report.get("modes", [])}
 
-    hook = report.get("alloc_hook_active", False)
+    hook = report.get("context", {}).get("alloc_hook_active", False)
     arena = modes.get("reactor_arena", {})
     allocs = arena.get("allocs_per_req")
     if not hook:
@@ -136,8 +146,9 @@ def check_fig11(report):
     failures = []
     by_config = {}  # harness config -> process -> point
     for point in report.get("points", []):
-        cfg = point.get("config", "?")
-        by_config.setdefault(cfg, {})[point.get("process", "?")] = point
+        if "process" in point:  # not the SLO probe
+            cfg = point.get("harness", "?")
+            by_config.setdefault(cfg, {})[point["process"]] = point
     if not by_config:
         return ["fig11: report carries no points"]
     for cfg, procs in sorted(by_config.items()):
@@ -163,13 +174,13 @@ def check_fig11(report):
                     f"perf_check: fig11 {cfg} achieved-QPS spread "
                     f"{spread:.2f}x (<= {FIG11_MAX_ACHIEVED_SPREAD}x) ok"
                 )
-        poisson = procs.get("poisson", {}).get("p99_ns")
-        bursts = procs.get("bursts", {}).get("p99_ns")
+        poisson = procs.get("poisson", {}).get("sojourn_p99_ns")
+        bursts = procs.get("bursts", {}).get("sojourn_p99_ns")
         if not isinstance(poisson, (int, float)) or not isinstance(
             bursts, (int, float)
         ):
             failures.append(
-                f"fig11: {cfg} lacks poisson/bursts p99_ns points"
+                f"fig11: {cfg} lacks poisson/bursts sojourn_p99_ns points"
             )
         elif bursts < poisson:
             failures.append(

@@ -629,6 +629,8 @@ main()
         CHECK_EQ(r.latency.sojourn.count, static_cast<uint64_t>(300));
         checkTimingInvariants(r);
         CHECK_EQ(r.serviceWorkers, 4u);
+        // Threads backend: at least one reader per live connection.
+        CHECK(r.ioThreads >= 4u);
     }
 
     // NetworkedHarness end to end: per-request connections against an
@@ -679,6 +681,8 @@ main()
         CHECK_EQ(r.latency.sojourn.count, static_cast<uint64_t>(300));
         checkTimingInvariants(r);
         CHECK_EQ(r.serviceWorkers, 4u);
+        // Reactor backend: its event loops count as IO threads.
+        CHECK(r.ioThreads >= 1u);
     }
 
     // A malformed frame mid-stream poisons only its own connection:

@@ -30,6 +30,7 @@
 
 using tb::core::Request;
 using tb::core::Response;
+using tb::test::NopApp;
 
 namespace {
 
@@ -43,24 +44,6 @@ makeTestApp()
     app->init(cfg);
     return app;
 }
-
-/** Near-nop app: the hostile-peer test measures the response path,
- * so service time only slows it down. */
-class NopApp final : public tb::apps::App {
-  public:
-    const std::string& name() const override { return name_; }
-    void init(const tb::apps::AppConfig&) override {}
-    std::string genRequest(tb::util::Rng&) override { return "x"; }
-    uint64_t process(std::string_view request) override
-    {
-        return request.size();
-    }
-    int64_t serviceNsFor(std::string_view) const override { return 1; }
-    tb::apps::AppProfile profile() const override { return {}; }
-
-  private:
-    std::string name_ = "nop";
-};
 
 /**
  * Connects to 127.0.0.1:@p port announcing a 1460-byte MSS (set
@@ -141,6 +124,7 @@ main()
         tb::net::TcpServer server(*app, 2, 0, true, popts, {}, io);
         CHECK(server.listening());
         CHECK_EQ(server.reactorCount(), 2u);
+        CHECK_EQ(server.ioThreads(), 2u);
         server.start();
 
         std::vector<int> fds(kConns, -1);

@@ -23,29 +23,9 @@ using tb::core::RequestPool;
 using tb::core::Response;
 using tb::core::ServiceLoop;
 using tb::core::ServiceOptions;
+using tb::test::NopApp;
 
 namespace {
-
-/** Near-zero-cost app: the stress below is about queue/shutdown
- * races, not workload compute. */
-class NopApp final : public tb::apps::App {
-  public:
-    const std::string& name() const override { return name_; }
-    void init(const tb::apps::AppConfig&) override {}
-    std::string genRequest(tb::util::Rng&) override { return "x"; }
-    uint64_t process(std::string_view request) override
-    {
-        return request.size();
-    }
-    int64_t serviceNsFor(std::string_view) const override
-    {
-        return 1;
-    }
-    tb::apps::AppProfile profile() const override { return {}; }
-
-  private:
-    std::string name_ = "nop";
-};
 
 /** ServerPort over a RequestPool that counts closeResponses calls
  * and collects every response. */

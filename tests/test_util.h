@@ -3,18 +3,42 @@
 
 /**
  * @file
- * Dependency-free check macros for the unit tests (the container has
- * no gtest; ctest only needs an exit code). Failures print file:line
- * and the expression, and the test binary exits nonzero.
+ * Dependency-free check macros for the unit tests (ctest only needs
+ * an exit code). Failures print file:line and the expression, and the
+ * test binary exits nonzero. Also the tests' shared near-nop app.
  */
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <string_view>
+
+#include "apps/common/app.h"
 
 namespace tb::test {
 inline int g_failures = 0;
-}
+
+/** Near-zero-cost app for tests about queues, shutdown and the
+ * response path, where service time only slows the test down. Not in
+ * the app registry: registering it would add it to appNames() and so
+ * to every sweep and golden output. */
+class NopApp final : public apps::App {
+  public:
+    const std::string& name() const override { return name_; }
+    void init(const apps::AppConfig&) override {}
+    std::string genRequest(util::Rng&) override { return "x"; }
+    uint64_t process(std::string_view request) override
+    {
+        return request.size();
+    }
+    int64_t serviceNsFor(std::string_view) const override { return 1; }
+    apps::AppProfile profile() const override { return {}; }
+
+  private:
+    std::string name_ = "nop";
+};
+}  // namespace tb::test
 
 #define CHECK(cond)                                                    \
     do {                                                               \

@@ -1,5 +1,6 @@
 #include "util/env.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -7,12 +8,30 @@
 
 #include "util/logging.h"
 
+extern char** environ;
+
 namespace tb::util {
 
 const char*
 envString(const char* name)
 {
     return std::getenv(name);
+}
+
+std::vector<std::pair<std::string, std::string>>
+envWithPrefix(const char* prefix)
+{
+    const size_t len = std::strlen(prefix);
+    std::vector<std::pair<std::string, std::string>> vars;
+    for (char** e = environ; *e != nullptr; e++) {
+        const char* eq = std::strchr(*e, '=');
+        if (eq == nullptr || std::strncmp(*e, prefix, len) != 0)
+            continue;
+        vars.emplace_back(std::string(*e, static_cast<size_t>(eq - *e)),
+                          std::string(eq + 1));
+    }
+    std::sort(vars.begin(), vars.end());
+    return vars;
 }
 
 bool

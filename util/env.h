@@ -18,6 +18,9 @@
  */
 
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace tb::util {
 
@@ -25,6 +28,12 @@ namespace tb::util {
  * std::getenv call site, for free-form string knobs (TAILBENCH_LOG,
  * TAILBENCH_NET_HOST) whose parsing is the caller's. */
 const char* envString(const char* name);
+
+/** Every variable whose name starts with @p prefix, as (name, value)
+ * pairs sorted by name — for reports that must record the knobs a
+ * run was configured with. */
+std::vector<std::pair<std::string, std::string>>
+envWithPrefix(const char* prefix);
 
 /** Presence flag: true when @p name is set (to anything, including
  * empty — matching the historical TAILBENCH_FAST behavior). */
