@@ -318,6 +318,8 @@ appendPoint(JsonWriter& jw, const std::string& harness,
     appendSummary(jw, "service", r.latency.service);
     jw.num("count", static_cast<double>(r.latency.sojourn.count))
         .num("max_gen_lag_ns", static_cast<double>(r.maxGenLagNs))
+        .num("gen_lag_p50_ns", static_cast<double>(r.genLagP50Ns))
+        .num("gen_lag_p99_ns", static_cast<double>(r.genLagP99Ns))
         .boolean("gen_lag_invalid", genLagInvalidates(r, cfg.qps))
         .num("service_workers", r.serviceWorkers)
         .num("pinned_workers", r.pinnedWorkers)

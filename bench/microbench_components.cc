@@ -19,6 +19,7 @@
 #include "net/wire.h"
 #include "sim/cache.h"
 #include "sim/trace_gen.h"
+#include "util/arena.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 #include "util/zipf.h"
@@ -115,6 +116,58 @@ class VecStream final : public net::ByteStream {
 
 constexpr size_t kWireFrames = 64;
 
+/** 64 app-shaped requests ("get <key>" payloads, random genNs). */
+std::vector<core::Request>
+wireRequests(uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<core::Request> reqs(kWireFrames);
+    for (size_t i = 0; i < kWireFrames; i++) {
+        reqs[i].id = i;
+        reqs[i].genNs = static_cast<int64_t>(rng.next() >> 2);
+        reqs[i].payload = "get " + std::to_string(rng.nextInt(100000));
+    }
+    return reqs;
+}
+
+/** 64 responses with random checksums and stage stamps. */
+std::vector<core::Response>
+wireResponses(uint64_t seed)
+{
+    util::Rng rng(seed);
+    std::vector<core::Response> resps(kWireFrames);
+    for (size_t i = 0; i < kWireFrames; i++) {
+        core::Response& r = resps[i];
+        r.id = i;
+        r.checksum = rng.next();
+        r.timing.genNs = static_cast<int64_t>(rng.next() >> 2);
+        r.timing.startNs = r.timing.genNs + 1000;
+        r.timing.endNs = r.timing.startNs + 5000;
+    }
+    return resps;
+}
+
+/** One request frame through the client's stream encoder
+ * (sendRequestFrame: header, then payload, as two appends), cycling
+ * over 64 app-shaped requests into a reused buffer. */
+void
+BM_WireRequestEncode(benchmark::State& state)
+{
+    const std::vector<core::Request> reqs = wireRequests(10);
+    VecStream s;
+    s.bytes.reserve(kWireFrames * 64);
+    size_t i = 0;
+    for (auto _ : state) {
+        if (i == 0)
+            s.bytes.clear();
+        net::sendRequestFrame(s, reqs[i]);
+        i = (i + 1) % kWireFrames;
+        benchmark::DoNotOptimize(s.bytes.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_WireRequestEncode);
+
 /** One request frame through the reactor's window decoder (the
  * zero-copy view; header check, then id/genNs/payload extraction),
  * cycling over 64 app-shaped frames laid back to back. */
@@ -122,14 +175,8 @@ void
 BM_WireRequestDecode(benchmark::State& state)
 {
     VecStream s;
-    util::Rng rng(10);
-    for (size_t i = 0; i < kWireFrames; i++) {
-        core::Request r;
-        r.id = i;
-        r.genNs = static_cast<int64_t>(rng.next() >> 2);
-        r.payload = "get " + std::to_string(rng.nextInt(100000));
+    for (const core::Request& r : wireRequests(10))
         net::sendRequestFrame(s, r);
-    }
     const uint8_t* const end = s.bytes.data() + s.bytes.size();
     const uint8_t* p = s.bytes.data();
     net::RequestFrameView v;
@@ -152,17 +199,10 @@ void
 BM_WireResponseDecode(benchmark::State& state)
 {
     std::vector<uint8_t> wire(kWireFrames * net::kResponseFrameBytes);
-    util::Rng rng(11);
-    for (size_t i = 0; i < kWireFrames; i++) {
-        core::Response r;
-        r.id = i;
-        r.checksum = rng.next();
-        r.timing.genNs = static_cast<int64_t>(rng.next() >> 2);
-        r.timing.startNs = r.timing.genNs + 1000;
-        r.timing.endNs = r.timing.startNs + 5000;
+    const std::vector<core::Response> resps = wireResponses(11);
+    for (size_t i = 0; i < kWireFrames; i++)
         net::encodeResponseFrame(
-            wire.data() + i * net::kResponseFrameBytes, r);
-    }
+            wire.data() + i * net::kResponseFrameBytes, resps[i]);
     size_t i = 0;
     core::Response out;
     size_t used = 0;
@@ -175,6 +215,46 @@ BM_WireResponseDecode(benchmark::State& state)
     }
 }
 BENCHMARK(BM_WireResponseDecode);
+
+/** One 48-byte response frame through the server's run encoder
+ * (encodeResponseFrame into reused per-thread storage). */
+void
+BM_WireResponseEncode(benchmark::State& state)
+{
+    const std::vector<core::Response> resps = wireResponses(11);
+    std::vector<uint8_t> wire(kWireFrames * net::kResponseFrameBytes);
+    size_t i = 0;
+    for (auto _ : state) {
+        net::encodeResponseFrame(
+            wire.data() + i * net::kResponseFrameBytes, resps[i]);
+        i = (i + 1) % kWireFrames;
+        benchmark::DoNotOptimize(wire.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_WireResponseEncode);
+
+/** One request payload copied into the reactor's payload arena, with
+ * a 64-request in-flight window: each store drops the ref from 64
+ * stores ago, so drained chunks recycle and the steady state is
+ * allocation-free, as on the read path. */
+void
+BM_ArenaStore(benchmark::State& state)
+{
+    const std::vector<core::Request> reqs = wireRequests(12);
+    util::PayloadArena arena;
+    std::vector<util::PayloadRef> window(kWireFrames);
+    size_t i = 0;
+    for (auto _ : state) {
+        window[i] = arena.store(reqs[i].payload.view());
+        i = (i + 1) % kWireFrames;
+        benchmark::DoNotOptimize(window.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["chunks"] =
+        static_cast<double>(arena.chunksAllocated());
+}
+BENCHMARK(BM_ArenaStore);
 
 /** The request pool's hand-off at load: one iteration pushes
  * state.range(0) requests onto a sharded pool's single shard and

@@ -48,10 +48,15 @@ LoadClient::run(apps::App& app, const HarnessConfig& cfg,
     // scheduled arrival) so such runs are detectable instead of
     // silently optimistic — per window, and through the
     // coordinated-omission self-check in buildRunResult.
+    //
+    // The slack scope opens after the collector is spawned (threads
+    // inherit the slack) and closes before finishSend: only the send
+    // loop sleeps on the schedule.
     int64_t max_lag_ns = 0;
     std::vector<GenLagSample> gen_lag;
     gen_lag.reserve(cfg.measuredRequests);
     {
+        const util::TimerSlackScope precise_sleep;
         util::Rng rng(cfg.seed);
         const std::unique_ptr<ArrivalProcess> process =
             makeArrivalProcess(cfg.arrival, cfg.qps);

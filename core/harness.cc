@@ -173,19 +173,22 @@ buildRunResult(std::vector<RequestTiming>&& timings,
     r.latency.service =
         summarizeInPlace(service.data(), service.data() + n);
 
-    // Coordinated-omission self-check: compare the achieved send
-    // timeline (scheduled arrival + generator lag) against the
-    // scheduled one. A generator silently degraded to closed-loop
-    // stretches the send span and sends a large fraction of requests
-    // late; either signal flags the run.
-    if (opts.genLag && !opts.genLag->empty() &&
-        opts.scheduledMeanGapNs > 0.0) {
+    // Generator-lag percentiles, by selection over a copy of the
+    // lags; then the coordinated-omission self-check: compare the
+    // achieved send timeline (scheduled arrival + generator lag)
+    // against the scheduled one. A generator silently degraded to
+    // closed-loop stretches the send span and sends a large fraction
+    // of requests late; either signal flags the run.
+    if (opts.genLag && !opts.genLag->empty()) {
+        std::vector<int64_t> lags;
+        lags.reserve(opts.genLag->size());
         int64_t sched_min = opts.genLag->front().genNs;
         int64_t sched_max = sched_min;
         int64_t send_min = sched_min + opts.genLag->front().lagNs;
         int64_t send_max = send_min;
         uint64_t late = 0;
         for (const GenLagSample& s : *opts.genLag) {
+            lags.push_back(s.lagNs);
             sched_min = std::min(sched_min, s.genNs);
             sched_max = std::max(sched_max, s.genNs);
             send_min = std::min(send_min, s.genNs + s.lagNs);
@@ -193,22 +196,28 @@ buildRunResult(std::vector<RequestTiming>&& timings,
             if (static_cast<double>(s.lagNs) > opts.scheduledMeanGapNs)
                 late++;
         }
-        const double sched_span =
-            static_cast<double>(sched_max - sched_min);
-        if (sched_span > 0.0)
-            r.coSpanStretch =
-                static_cast<double>(send_max - send_min) / sched_span;
-        r.coLateFrac = static_cast<double>(late) /
-            static_cast<double>(opts.genLag->size());
-        r.coSuspect = r.coSpanStretch > 1.05 || r.coLateFrac > 0.2;
-        if (r.coSuspect)
-            TB_LOG_WARN(
-                "coordinated-omission check: achieved send span is "
-                "%.2fx the scheduled span and %.0f%% of requests went "
-                "out more than one mean gap late — the generator "
-                "degraded toward closed-loop; treat tails as lower "
-                "bounds",
-                r.coSpanStretch, r.coLateFrac * 100.0);
+        const std::array<int64_t, 2> lag_pcts = util::percentilesInPlace(
+            lags.begin(), lags.end(), std::array<double, 2>{50.0, 99.0});
+        r.genLagP50Ns = lag_pcts[0];
+        r.genLagP99Ns = lag_pcts[1];
+        if (opts.scheduledMeanGapNs > 0.0) {
+            const double sched_span =
+                static_cast<double>(sched_max - sched_min);
+            if (sched_span > 0.0)
+                r.coSpanStretch =
+                    static_cast<double>(send_max - send_min) / sched_span;
+            r.coLateFrac = static_cast<double>(late) /
+                static_cast<double>(opts.genLag->size());
+            r.coSuspect = r.coSpanStretch > 1.05 || r.coLateFrac > 0.2;
+            if (r.coSuspect)
+                TB_LOG_WARN(
+                    "coordinated-omission check: achieved send span is "
+                    "%.2fx the scheduled span and %.0f%% of requests "
+                    "went out more than one mean gap late — the "
+                    "generator degraded toward closed-loop; treat tails "
+                    "as lower bounds",
+                    r.coSpanStretch, r.coLateFrac * 100.0);
+        }
     }
 
     if (opts.keepSamples)

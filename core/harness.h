@@ -149,6 +149,12 @@ struct RunResult {
      * warning when that happens).
      */
     int64_t maxGenLagNs = 0;
+    /** Median and p99 of the generator lag over the measured
+     * requests: how precisely the generator kept its schedule in the
+     * typical case, where maxGenLagNs shows only the worst one. Zero
+     * when the harness records no lag (virtual time). */
+    int64_t genLagP50Ns = 0;
+    int64_t genLagP99Ns = 0;
     /**
      * Effective service-side concurrency: worker threads that served
      * the run, and how many of them were successfully CPU-pinned
@@ -208,11 +214,12 @@ LatencySummary summarizeNs(const std::vector<int64_t>& samples);
 /**
  * Shared post-processing: sorts timings by generation time, computes
  * the achieved QPS over the measured span, the three latency
- * summaries, per-window tail percentiles and generator-lag, SLO
- * attainment, and the coordinated-omission self-check (which warns
- * when it fires). Moves the timings into RunResult::samples when
- * requested. Summaries are computed as summarizeNs does, in place on
- * the per-request vectors this function builds.
+ * summaries, per-window tail percentiles and generator-lag, the
+ * whole-run generator-lag p50/p99, SLO attainment, and the
+ * coordinated-omission self-check (which warns when it fires). Moves
+ * the timings into RunResult::samples when requested. Summaries are
+ * computed as summarizeNs does, in place on the per-request vectors
+ * this function builds.
  */
 RunResult buildRunResult(std::vector<RequestTiming>&& timings,
                          const ResultOptions& opts);

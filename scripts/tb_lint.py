@@ -30,6 +30,12 @@ this repo has been burned by, or nearly so):
                 ArrivalProcess seam, and a driver that samples its own
                 gaps silently ignores TAILBENCH_ARRIVAL. Tests and
                 util/ (the RNG's own home) are exempt.
+  sleep-seam    no raw nanosleep/clock_nanosleep/usleep/sleep_for/
+                sleep_until in measurement-path code (core/, sim/,
+                queueing/, apps/) outside util/clock.h — the generator
+                keeps one timed-sleep seam, sleepUntilNs, which knows
+                that a coarse sleep overshoots by the thread's timer
+                slack (TimerSlackScope) and spins the last stretch.
 
 A line ending in `// tb-lint: allow(<rule>)` waives that rule for
 that line; the waiver is grep-able, so exceptions stay auditable.
@@ -52,6 +58,7 @@ MEASUREMENT_DIRS = ("core", "sim", "queueing", "net", "apps")
 CLOCK_SEAM_ALLOWED = {"util/clock.h", "util/clock.cc"}
 ARRIVAL_SEAM_DIRS = ("core", "sim", "queueing", "net", "apps", "bench")
 ARRIVAL_SEAM_ALLOWED = {"core/arrival.cc"}
+SLEEP_SEAM_DIRS = ("core", "sim", "queueing", "apps")
 
 ALLOW_RE = re.compile(r"//\s*tb-lint:\s*allow\(([a-z-]+)\)\s*$")
 LINE_COMMENT_RE = re.compile(r"//.*$")
@@ -63,6 +70,9 @@ BLOCKING_RE = re.compile(
     r"(?<![\w.])(?:::)?(?:sleep|usleep|nanosleep|poll|select)\s*\("
     r"|std::this_thread::sleep_for")
 NEXT_EXP_RE = re.compile(r"\bnextExponential\s*\(")
+SLEEP_RE = re.compile(
+    r"(?<![\w.])(?:::)?(?:clock_nanosleep|nanosleep|usleep)\s*\("
+    r"|\bsleep_(?:for|until)\s*\(")
 
 ADD_TEST_RE = re.compile(r"add_test\s*\(\s*NAME\s+([^\s)]+)", re.I)
 PROPS_RE = re.compile(r"set_tests_properties\s*\(([^)]*)\)",
@@ -119,6 +129,8 @@ def check_cxx(path, findings):
                                         MEASUREMENT_DIRS))
     in_arrival_scope = r.startswith(tuple(d + "/" for d in
                                           ARRIVAL_SEAM_DIRS))
+    in_sleep_scope = r.startswith(tuple(d + "/" for d in
+                                        SLEEP_SEAM_DIRS))
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = LINE_COMMENT_RE.sub("", strip_strings(raw))
@@ -153,6 +165,14 @@ def check_cxx(path, findings):
                      "inline interarrival sampling outside "
                      "core/arrival.cc — schedule through the "
                      "pluggable ArrivalProcess seam"))
+
+            if (in_sleep_scope and SLEEP_RE.search(line)
+                    and not waived(raw, "sleep-seam")):
+                findings.append(
+                    (r, lineno, "sleep-seam",
+                     "raw timed sleep outside util/clock.h — sleep "
+                     "through util::sleepUntilNs (under a "
+                     "TimerSlackScope where precision matters)"))
 
             if (r == "net/reactor.cc" and BLOCKING_RE.search(line)
                     and not waived(raw, "reactor-block")):

@@ -34,6 +34,8 @@ class FakeHarness final : public tb::core::Harness {
         r.latency.queueing = {500.0, 100, 1200, 3300, 100};
         r.latency.service = {1500.0, 1400, 3300, 5800, 100};
         r.maxGenLagNs = 7;
+        r.genLagP50Ns = 3;
+        r.genLagP99Ns = 6;
         r.serviceWorkers = 2;
         r.pinnedWorkers = 1;
         r.ioThreads = 3;
@@ -189,7 +191,8 @@ testPointSchema()
         "sojourn_p95_ns", "sojourn_p99_ns", "queueing_mean_ns",
         "queueing_p50_ns", "queueing_p95_ns", "queueing_p99_ns",
         "service_mean_ns", "service_p50_ns", "service_p95_ns",
-        "service_p99_ns", "count", "max_gen_lag_ns", "gen_lag_invalid",
+        "service_p99_ns", "count", "max_gen_lag_ns", "gen_lag_p50_ns",
+        "gen_lag_p99_ns", "gen_lag_invalid",
         "service_workers", "pinned_workers", "io_threads",
         "slo_target_ns", "slo_attainment", "co_span_stretch",
         "co_late_frac", "co_suspect", "probe_per_req", "heap_allocs",
@@ -206,7 +209,8 @@ testPointSchema()
          {"\"harness\":\"fake\"", "\"app\":\"nop\"", "\"threads\":2",
           "\"warmup\":50", "\"requests\":100", "\"seed\":9",
           "\"policy\":\"sharded\"", "\"connections\":4",
-          "\"sojourn_p99_ns\":9100", "\"io_threads\":3",
+          "\"sojourn_p99_ns\":9100", "\"gen_lag_p50_ns\":3",
+          "\"gen_lag_p99_ns\":6", "\"io_threads\":3",
           "\"co_suspect\":true", "\"resp_writes\":0.2",
           "\"extra_key\":5}"})
         CHECK(contains(report, value));

@@ -1,14 +1,21 @@
 /** Unit tests: core/harness.cc result summaries against a sort-based
- * reference, core/integrated_harness.cc open-loop behavior and
- * core/methodology.cc saturation estimation. */
+ * reference, core/integrated_harness.cc open-loop behavior, the
+ * generator's schedule precision, and core/methodology.cc saturation
+ * estimation. */
 
 #include "core/integrated_harness.h"
 
+#include <sys/prctl.h>
+
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
+#include "core/client.h"
 #include "core/methodology.h"
+#include "core/service.h"
+#include "core/transport.h"
 #include "util/rng.h"
 #include "util/stats.h"
 
@@ -16,6 +23,7 @@
 
 using tb::apps::AppConfig;
 using tb::apps::makeApp;
+using tb::core::GenLagSample;
 using tb::core::HarnessConfig;
 using tb::core::IntegratedHarness;
 using tb::core::LatencySummary;
@@ -135,13 +143,25 @@ checkSummariesAgainstReference()
                     que.push_back(x.queueNs());
                     svc.push_back(x.serviceNs());
                 }
+                std::vector<GenLagSample> lag;
+                std::vector<int64_t> lags;
+                for (const RequestTiming& x : t) {
+                    lag.push_back({x.genNs, x.queueNs() / 3});
+                    lags.push_back(lag.back().lagNs);
+                }
                 ResultOptions opts;
                 opts.windows = windows;
                 opts.sloTargetNs =
                     std::max<int64_t>(1, referenceSummary(soj).p50Ns);
+                opts.genLag = &lag;
                 const RunResult r =
                     tb::core::buildRunResult(std::vector(t), opts);
                 CHECK(sameSummary(r.latency.sojourn, referenceSummary(soj)));
+                std::sort(lags.begin(), lags.end());
+                CHECK_EQ(r.genLagP50Ns,
+                         tb::util::percentileOfSorted(lags, 50.0));
+                CHECK_EQ(r.genLagP99Ns,
+                         tb::util::percentileOfSorted(lags, 99.0));
                 CHECK(sameSummary(r.latency.queueing,
                                   referenceSummary(que)));
                 CHECK(sameSummary(r.latency.service, referenceSummary(svc)));
@@ -174,12 +194,84 @@ checkSummariesAgainstReference()
     }
 }
 
+/** Transport decorator that records the timer slack of the thread
+ * calling sendRequest, i.e. of the generator inside its send loop. */
+class SlackProbeTransport final : public tb::core::Transport {
+  public:
+    explicit SlackProbeTransport(tb::core::Transport& inner)
+        : inner_(inner)
+    {
+    }
+
+    void
+    sendRequest(tb::core::Request&& req) override
+    {
+        const int slack = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+        minSlack = std::min(minSlack, slack);
+        maxSlack = std::max(maxSlack, slack);
+        inner_.sendRequest(std::move(req));
+    }
+    bool
+    recvResponse(tb::core::Response& out) override
+    {
+        return inner_.recvResponse(out);
+    }
+    void finishSend() override { inner_.finishSend(); }
+
+    int minSlack = 1 << 30;
+    int maxSlack = 0;
+
+  private:
+    tb::core::Transport& inner_;
+};
+
+/** The open-loop generator sends on schedule. Its send loop runs at
+ * 1 ns timer slack, and the run leaves the caller's slack as it found
+ * it. With a no-op app the only lag is the generator's own: its
+ * sleep, the payload draw and an in-process push. A coarse sleep that
+ * overshoots by the default 50 us slack reads ~35-40 us here; on
+ * schedule it is the push alone, ~1-2 us. The lag is wall-clock, so
+ * a loaded host can push one run's median up: the gate takes the
+ * best of three runs (the overshooting generator fails every one). */
+void
+checkGeneratorSendsOnSchedule()
+{
+    tb::test::NopApp app;
+    HarnessConfig cfg;
+    cfg.qps = 5000.0;
+    cfg.workerThreads = 1;
+    cfg.warmupRequests = 200;
+    cfg.measuredRequests = 2000;
+    int64_t best_p50 = INT64_MAX;
+    for (uint64_t attempt = 0; attempt < 3 && best_p50 >= 10000;
+         attempt++) {
+        tb::core::InProcessTransport transport;
+        SlackProbeTransport probe(transport);
+        tb::core::ServiceLoop service(transport.serverPort(), app, 1);
+        service.start();
+        cfg.seed = 46 + attempt;
+        const int slack_before = prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0);
+        tb::core::LoadClient client;
+        const RunResult r = client.run(app, cfg, probe);
+        service.join();
+        CHECK_EQ(prctl(PR_GET_TIMERSLACK, 0, 0, 0, 0), slack_before);
+        CHECK_EQ(probe.minSlack, 1);
+        CHECK_EQ(probe.maxSlack, 1);
+        CHECK_EQ(r.latency.sojourn.count, static_cast<uint64_t>(2000));
+        CHECK(r.genLagP99Ns >= r.genLagP50Ns);
+        CHECK(r.maxGenLagNs >= r.genLagP99Ns);
+        best_p50 = std::min(best_p50, r.genLagP50Ns);
+    }
+    CHECK(best_p50 < 10000);
+}
+
 }  // namespace
 
 int
 main()
 {
     checkSummariesAgainstReference();
+    checkGeneratorSendsOnSchedule();
 
     auto app = makeTestApp("img-dnn");
     IntegratedHarness harness;
