@@ -98,22 +98,6 @@ BM_RequestQueuePushPop(benchmark::State& state)
 }
 BENCHMARK(BM_RequestQueuePushPop);
 
-/** Append-only ByteStream, for pre-encoding request frames. */
-class VecStream final : public net::ByteStream {
-  public:
-    ssize_t readSome(void*, size_t) override { return -1; }
-
-    ssize_t
-    writeSome(const void* buf, size_t len) override
-    {
-        const uint8_t* p = static_cast<const uint8_t*>(buf);
-        bytes.insert(bytes.end(), p, p + len);
-        return static_cast<ssize_t>(len);
-    }
-
-    std::vector<uint8_t> bytes;
-};
-
 constexpr size_t kWireFrames = 64;
 
 /** 64 app-shaped requests ("get <key>" payloads, random genNs). */
@@ -147,22 +131,22 @@ wireResponses(uint64_t seed)
     return resps;
 }
 
-/** One request frame through the client's stream encoder
- * (sendRequestFrame: header, then payload, as two appends), cycling
- * over 64 app-shaped requests into a reused buffer. */
+/** One request frame through the client's encoder
+ * (encodeRequestFrame, which sendRequestFrame writes in one call),
+ * cycling over 64 app-shaped requests into a reused buffer. */
 void
 BM_WireRequestEncode(benchmark::State& state)
 {
     const std::vector<core::Request> reqs = wireRequests(10);
-    VecStream s;
-    s.bytes.reserve(kWireFrames * 64);
+    std::vector<uint8_t> bytes;
+    bytes.reserve(kWireFrames * 64);
     size_t i = 0;
     for (auto _ : state) {
         if (i == 0)
-            s.bytes.clear();
-        net::sendRequestFrame(s, reqs[i]);
+            bytes.clear();
+        net::encodeRequestFrame(bytes, reqs[i]);
         i = (i + 1) % kWireFrames;
-        benchmark::DoNotOptimize(s.bytes.data());
+        benchmark::DoNotOptimize(bytes.data());
         benchmark::ClobberMemory();
     }
 }
@@ -174,16 +158,16 @@ BENCHMARK(BM_WireRequestEncode);
 void
 BM_WireRequestDecode(benchmark::State& state)
 {
-    VecStream s;
+    std::vector<uint8_t> bytes;
     for (const core::Request& r : wireRequests(10))
-        net::sendRequestFrame(s, r);
-    const uint8_t* const end = s.bytes.data() + s.bytes.size();
-    const uint8_t* p = s.bytes.data();
+        net::encodeRequestFrame(bytes, r);
+    const uint8_t* const end = bytes.data() + bytes.size();
+    const uint8_t* p = bytes.data();
     net::RequestFrameView v;
     size_t used = 0;
     for (auto _ : state) {
         if (p == end)
-            p = s.bytes.data();
+            p = bytes.data();
         net::tryDecodeRequestFrameView(p, static_cast<size_t>(end - p),
                                        v, used);
         p += used;
@@ -192,9 +176,8 @@ BM_WireRequestDecode(benchmark::State& state)
 }
 BENCHMARK(BM_WireRequestDecode);
 
-/** One 48-byte response frame through the window decoder the
- * client's event-loop side uses (the same decoder recvResponseFrame
- * runs). */
+/** One 48-byte response frame through the window decoder both
+ * client collectors use. */
 void
 BM_WireResponseDecode(benchmark::State& state)
 {

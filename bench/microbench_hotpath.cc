@@ -100,26 +100,6 @@ class HotpathApp final : public apps::App {
     std::string name_ = "hotpath";
 };
 
-/** Append-only ByteStream over a byte vector, for pre-encoding the
- * burst frames once, before any counter snapshot. */
-class VecStream final : public net::ByteStream {
-  public:
-    explicit VecStream(std::vector<uint8_t>& out) : out_(out) {}
-
-    ssize_t readSome(void*, size_t) override { return -1; }
-
-    ssize_t
-    writeSome(const void* buf, size_t len) override
-    {
-        const uint8_t* p = static_cast<const uint8_t*>(buf);
-        out_.insert(out_.end(), p, p + len);
-        return static_cast<ssize_t>(len);
-    }
-
-  private:
-    std::vector<uint8_t>& out_;
-};
-
 struct Counters {
     uint64_t allocs = 0;
     uint64_t notifies = 0;
@@ -162,6 +142,18 @@ struct ModeResult {
     }
 };
 
+/** Reads from @p fd into @p in until it holds @p bytes; false on EOF
+ * or error. */
+bool
+fillWindow(int fd, net::InWindow& in, size_t bytes)
+{
+    while (in.size() < bytes) {
+        if (in.readFrom(fd) <= 0)
+            return false;
+    }
+    return true;
+}
+
 /** The stock end-to-end baseline: synchronous request/response over
  * one connection, a fresh payload string generated per request. */
 bool
@@ -178,6 +170,7 @@ runThreadsStock(apps::App& app, uint64_t warmup, uint64_t measured,
         return false;
     }
     net::FdStream stream(fd);
+    net::InWindow in;
     util::Rng rng(42);
     bool ok = true;
     Counters before;
@@ -188,9 +181,13 @@ runThreadsStock(apps::App& app, uint64_t warmup, uint64_t measured,
         req.id = i;
         req.payload = app.genRequest(rng);  // the baseline's alloc
         core::Response resp;
+        size_t used = 0;
         ok = net::sendRequestFrame(stream, req) &&
-            net::recvResponseFrame(stream, resp) ==
-                net::WireResult::kOk;
+            fillWindow(fd, in, net::kResponseFrameBytes) &&
+            net::tryDecodeResponseFrame(in.data(), in.size(), resp,
+                                        used) ==
+                net::DecodeResult::kFrame;
+        in.consume(used);
     }
     const Counters after = Counters::snapshot();
     ::close(fd);
@@ -226,21 +223,22 @@ runReactorBurst(apps::App& app, core::QueuePolicy policy,
     }
 
     std::vector<uint8_t> burst;
-    {
-        VecStream vs(burst);
-        core::Request req;
-        req.payload = std::string(kPayload);
-        for (unsigned i = 0; i < kBurst; i++) {
-            req.id = i;
-            net::sendRequestFrame(vs, req);
-        }
+    core::Request req;
+    req.payload = std::string(kPayload);
+    for (unsigned i = 0; i < kBurst; i++) {
+        req.id = i;
+        net::encodeRequestFrame(burst, req);
     }
-    std::vector<uint8_t> rx(kBurst * net::kResponseFrameBytes);
+    constexpr size_t kRxBytes = kBurst * net::kResponseFrameBytes;
 
     net::FdStream stream(fd);
+    net::InWindow in;
     const auto doBurst = [&] {
-        return net::writeFull(stream, burst.data(), burst.size()) &&
-            net::readFull(stream, rx.data(), rx.size());
+        if (!net::writeFull(stream, burst.data(), burst.size()) ||
+            !fillWindow(fd, in, kRxBytes))
+            return false;
+        in.consume(kRxBytes);
+        return true;
     };
 
     bool ok = true;

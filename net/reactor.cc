@@ -32,9 +32,6 @@ constexpr int kMaxEpollEvents = 128;
  * every connection the reactor owns (decode happens before the next
  * read reuses it). */
 constexpr size_t kReadScratchBytes = 64 * 1024;
-/** Compact a connection's input buffer once this much consumed
- * prefix accumulates (partial frames keep the tail alive). */
-constexpr size_t kCompactThreshold = 4096;
 /** Upper bound on the post-stop flush: a peer that stopped reading
  * must not wedge server shutdown. */
 constexpr auto kStopFlushDeadline = std::chrono::seconds(3);
@@ -289,9 +286,9 @@ class Reactor {
     };
 
     /**
-     * One connection. Loop-thread-only: `in`/`in_head` (undecoded
-     * tail) — unannotated because the safety argument is thread
-     * identity, not a lock. Shared with the worker write path under
+     * One connection. Loop-thread-only: `in` (the undecoded tail) —
+     * unannotated because the safety argument is thread identity, not
+     * a lock. Shared with the worker write path under
      * `out_mu` (TB_GUARDED_BY, compile-checked): the output backlog
      * `out`/`out_head`, `fd` (writers read it; only the loop thread
      * sets it to -1, under the same lock, so a worker never writes
@@ -317,8 +314,7 @@ class Reactor {
         util::Mutex out_mu;
         int fd TB_GUARDED_BY(out_mu);
         const uint64_t serial;
-        std::vector<uint8_t> in;
-        size_t in_head = 0;
+        InWindow in;
         std::vector<uint8_t> out TB_GUARDED_BY(out_mu);
         size_t out_head TB_GUARDED_BY(out_mu) = 0;
         std::atomic<uint64_t> outstanding{0};
@@ -621,7 +617,12 @@ class Reactor {
                 continue;
             }
             if (n == 0) {
-                c->rd_closed.store(true);  // clean EOF at client FIN
+                // EOF at the client's FIN; a frame it cut short is
+                // dropped.
+                if (!c->in.empty())
+                    TB_LOG_WARN("reactor: dropping a request frame cut "
+                                "short by end of stream");
+                c->rd_closed.store(true);
                 break;
             }
             if (errno == EAGAIN || errno == EWOULDBLOCK)
@@ -642,75 +643,30 @@ class Reactor {
         updateEvents(c);
     }
 
-    /** Frames @p len fresh bytes. Decodes straight out of the shared
-     * scratch when the connection holds no partial frame (the common
-     * case — zero copies besides the payload), else appends to the
-     * connection tail and decodes from there. */
+    /** Frames @p len fresh bytes: straight out of the shared scratch
+     * when the connection holds no cut frame (the common case — zero
+     * copies besides the payload), else through its window. The
+     * window's whole frames reach the RequestPool as ONE batch: one
+     * queue lock and at most one consumer wakeup per read window.
+     * Payloads are copied into the per-reactor arena — the view
+     * decode itself allocates nothing. */
     bool
     feed(RConn* c, const uint8_t* p, size_t len)
     {
-        if (c->in_head >= c->in.size()) {
-            c->in.clear();
-            c->in_head = 0;
-            size_t used = 0;
-            if (!drainFrames(c, p, len, used))
-                return false;
-            if (used < len)
-                c->in.assign(p + used, p + len);
-            return true;
+        const bool direct = c->in.empty();
+        if (!direct) {
+            c->in.append(p, len);
+            p = c->in.data();
+            len = c->in.size();
         }
-        c->in.insert(c->in.end(), p, p + len);
         size_t used = 0;
-        if (!drainFrames(c, c->in.data() + c->in_head,
-                         c->in.size() - c->in_head, used))
-            return false;
-        c->in_head += used;
-        if (c->in_head >= c->in.size()) {
-            c->in.clear();
-            c->in_head = 0;
-        } else if (c->in_head > kCompactThreshold) {
-            c->in.erase(c->in.begin(),
-                        c->in.begin() +
-                            static_cast<long>(c->in_head));
-            c->in_head = 0;
-        }
-        return true;
-    }
-
-    /** Decodes every complete frame in the window into batch_ and
-     * hands the whole batch to the RequestPool at once: one queue
-     * lock and at most one consumer wakeup per read window instead of
-     * one per frame. Payloads are copied into the per-reactor arena
-     * — the view decode itself allocates nothing. */
-    bool
-    drainFrames(RConn* c, const uint8_t* data, size_t len,
-                size_t& used)
-    {
-        used = 0;
-        batch_.clear();
-        bool ok = true;
-        for (;;) {
-            RequestFrameView view;
-            size_t consumed = 0;
-            const DecodeResult dr = tryDecodeRequestFrameView(
-                data + used, len - used, view, consumed);
-            if (dr == DecodeResult::kBadFrame) {
-                ok = false;  // frames decoded before it still count
-                break;
-            }
-            if (dr == DecodeResult::kNeedMore)
-                break;
-            core::Request req;
-            req.id = view.id;
-            req.genNs = view.genNs;
-            req.ctx = c->serial;
-            const std::string_view payload(
-                reinterpret_cast<const char*>(view.payload),
-                view.payloadLen);
-            req.payload = arena_.store(payload);
-            batch_.push_back(std::move(req));
-            used += consumed;
-        }
+        // Frames decoded before a bad one still count.
+        const bool ok = decodeRequestFrames(
+            p, len, used, [&](const RequestFrameView& v) {
+                batch_.push_back(core::Request{
+                    v.id, arena_.store(v.payloadView()), v.genNs,
+                    c->serial});
+            });
         if (!batch_.empty()) {
             // Register before push: the worker answering these
             // requests must never observe outstanding == 0 while its
@@ -718,6 +674,10 @@ class Reactor {
             c->outstanding.fetch_add(batch_.size());
             pool_.sink_.pushBatch(batch_);  // empties batch_
         }
+        if (!direct)
+            c->in.consume(used);
+        else if (ok && used < len)
+            c->in.append(p + used, len - used);
         return ok;
     }
 

@@ -13,15 +13,16 @@
  *                 serial % N is the owning reactor, so response
  *                 routing needs no shared map at all.
  *   Reactor       one epoll loop. Reads are nonblocking into a
- *                 per-reactor reusable IO buffer and framed
- *                 incrementally (net/wire.h tryDecodeRequestFrameView
- *                 — the same validation as the blocking ByteStream
- *                 framing); every complete request in a read window
- *                 is collected and pushed into the shared
- *                 core::RequestPool as ONE batch with ctx =
- *                 connection serial (one queue lock, at most one
- *                 wakeup, for the whole window), so the ServiceLoop
- *                 workers and every harness run unchanged on top.
+ *                 per-reactor reusable IO buffer and framed straight
+ *                 from it; only a cut frame's tail is kept, in the
+ *                 connection's net/wire.h InWindow — the same window
+ *                 and decoder every socket reader uses. Every
+ *                 complete request in a read window is collected and
+ *                 pushed into the shared core::RequestPool as ONE
+ *                 batch with ctx = connection serial (one queue
+ *                 lock, at most one wakeup, for the whole window), so
+ *                 the ServiceLoop workers and every harness run
+ *                 unchanged on top.
  *                 Responses take TcpServer's one response path: it
  *                 splits a worker batch into same-connection runs and
  *                 encodes each run once into per-thread reusable

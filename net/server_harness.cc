@@ -17,6 +17,7 @@
 #include "util/clock.h"
 #include "util/env.h"
 #include "util/logging.h"
+#include "util/mutex.h"
 
 namespace tb::net {
 
@@ -345,8 +346,8 @@ TcpServer::stop()
     accept_thread_.join();
     pending_.close();
     {
-        util::MutexLock lock(conns_mu_);
-        for (const std::shared_ptr<Conn>& conn : conns_) {
+        util::MutexLock lock(port_obj_->map_mu_);
+        for (const auto& [serial, conn] : port_obj_->routes_) {
             util::MutexLock cl(conn->mu);
             if (!conn->closed)
                 ::shutdown(conn->fd, SHUT_RD);
@@ -357,14 +358,8 @@ TcpServer::stop()
     reader_threads_.clear();
     port_obj_->pool_.close();
     service_->join();
-    {
-        util::MutexLock lock(conns_mu_);
-        conns_.clear();  // Conn dtor closes any leftover fd
-    }
-    {
-        util::MutexLock lock(port_obj_->map_mu_);
-        port_obj_->routes_.clear();
-    }
+    util::MutexLock lock(port_obj_->map_mu_);
+    port_obj_->routes_.clear();  // Conn dtor closes any leftover fd
 }
 
 void
@@ -396,13 +391,11 @@ TcpServer::acceptLoop()
         }
         setNoDelay(fd);
         auto conn = std::make_shared<Conn>(fd, next_serial_++);
-        {
-            util::MutexLock lock(conns_mu_);
-            conns_.insert(conn);
-        }
+        size_t live;
         {
             util::MutexLock lock(port_obj_->map_mu_);
             port_obj_->routes_[conn->serial] = conn;
+            live = port_obj_->routes_.size();
         }
         // Elastic thread-per-connection: keep readers >= live
         // connections, since a persistent connection pins its reader
@@ -410,7 +403,6 @@ TcpServer::acceptLoop()
         // can never wait behind N busy readers. Only this thread
         // grows the pool, and stop() joins it before joining the
         // readers, so the vector needs no lock.
-        const size_t live = ++conns_live_;
         while (reader_threads_.size() < live)
             reader_threads_.emplace_back([this] { readerLoop(); });
         readers_spawned_.store(
@@ -433,24 +425,34 @@ TcpServer::readerLoop()
 void
 TcpServer::readConnection(const std::shared_ptr<Conn>& conn)
 {
-    FdStream stream(conn->fd);
-    core::Request req;
-    for (;;) {
-        const WireResult res = recvRequestFrame(stream, req);
-        if (res == WireResult::kOk) {
-            req.ctx = conn->serial;
-            {
-                util::MutexLock lock(conn->mu);
-                conn->outstanding++;
-            }
-            port_obj_->pool_.push(std::move(req));
-            continue;
+    // One read per window, and the window's whole frames enter the
+    // pool as one batch (one queue lock, at most one wakeup).
+    InWindow in;
+    std::vector<core::Request> batch;
+    bool ok = true;
+    while (ok && in.readFrom(conn->fd) > 0) {
+        size_t used = 0;
+        ok = decodeRequestFrames(
+            in.data(), in.size(), used, [&](const RequestFrameView& v) {
+                batch.push_back(core::Request{
+                    v.id, std::string(v.payloadView()), v.genNs,
+                    conn->serial});
+            });
+        in.consume(used);
+        // Registered before the push, so no worker answering these
+        // sees outstanding == 0 while its own response is in flight.
+        {
+            util::MutexLock lock(conn->mu);
+            conn->outstanding += batch.size();
         }
-        if (res == WireResult::kBadFrame)
-            TB_LOG_WARN("tcp server: dropping connection after a "
-                        "malformed frame");
-        break;
+        port_obj_->pool_.pushBatch(batch);  // empties batch
     }
+    if (!ok)
+        TB_LOG_WARN("tcp server: dropping connection after a "
+                    "malformed frame");
+    else if (!in.empty())
+        TB_LOG_WARN("tcp server: dropping a request frame cut short "
+                    "by end of stream");
     bool close_now;
     {
         util::MutexLock lock(conn->mu);
@@ -545,9 +547,6 @@ TcpServer::closeConn(const std::shared_ptr<Conn>& conn)
         util::MutexLock lock(port_obj_->map_mu_);
         port_obj_->routes_.erase(conn->serial);
     }
-    conns_live_--;
-    util::MutexLock lock(conns_mu_);
-    conns_.erase(conn);
 }
 
 // ------------------------------------------------ MultiConnTcpTransport
@@ -561,6 +560,8 @@ MultiConnTcpTransport::MultiConnTcpTransport(const std::string& host,
     for (unsigned c = 0; c < n; c++)
         fds_.push_back(connectTcp(host, port));
     live_ = std::make_unique<std::atomic<bool>[]>(fds_.size());
+    in_.resize(fds_.size());
+    pfds_.resize(fds_.size());
     for (size_t k = 0; k < fds_.size(); k++)
         live_[k].store(fds_[k] >= 0, std::memory_order_relaxed);
     if (!connected())
@@ -617,48 +618,62 @@ bool
 MultiConnTcpTransport::recvResponse(core::Response& out)
 {
     for (;;) {
-        // Serve the connections the last poll found readable one frame
-        // each, in order, and poll again only once the round is done:
-        // always taking the first readable one would drain connection
-        // 0's whole backlog before a response already waiting on
-        // connection 1.
+        // Serve the connections the last poll round found ready one
+        // frame each, in order, and poll again only once the round is
+        // done: always taking the first ready one would drain
+        // connection 0's whole backlog before a response already
+        // waiting on connection 1. Ready: the window holds a whole
+        // frame, or the socket is readable (one read takes it all).
         while (scan_ < pfds_.size()) {
             const size_t k = scan_++;
-            if (!(pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)))
+            InWindow& in = in_[k];
+            if (pfds_[k].fd < 0)
                 continue;
-            FdStream stream(pfds_[k].fd);
-            const WireResult res = recvResponseFrame(stream, out);
-            if (res == WireResult::kOk) {
+            if (in.size() < kResponseFrameBytes &&
+                (pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)) &&
+                in.readFrom(pfds_[k].fd) <= 0) {
+                if (!in.empty())
+                    TB_LOG_WARN("multi-conn transport: response frame "
+                                "cut short by end of stream");
+                live_[k].store(false, std::memory_order_relaxed);
+                continue;  // EOF or error: retired
+            }
+            size_t used = 0;
+            const DecodeResult dr =
+                tryDecodeResponseFrame(in.data(), in.size(), out, used);
+            if (dr == DecodeResult::kFrame) {
+                in.consume(used);
                 // The response-path wire cost belongs to sojourn:
                 // completion is when the *client* has the response,
                 // not when the server wrote it.
                 out.timing.endNs = util::monotonicNs();
                 return true;
             }
-            if (res == WireResult::kBadFrame)
+            if (dr == DecodeResult::kBadFrame) {
                 TB_LOG_WARN("multi-conn transport: malformed response "
                             "frame");
-            // EOF (or poisoned): retire it.
-            live_[idx_[k]].store(false, std::memory_order_relaxed);
+                live_[k].store(false, std::memory_order_relaxed);
+            }
         }
-        pfds_.clear();
-        idx_.clear();
+        // Next round: poll the live connections (poll skips fd -1),
+        // without blocking if a window already holds a whole frame.
         scan_ = 0;
+        bool any = false;
+        bool buffered = false;
         for (size_t k = 0; k < fds_.size(); k++) {
-            if (!live_[k].load(std::memory_order_relaxed) ||
-                fds_[k] < 0)
-                continue;
-            struct pollfd p;
-            p.fd = fds_[k];
-            p.events = POLLIN;
-            p.revents = 0;
-            pfds_.push_back(p);
-            idx_.push_back(k);
+            const bool live =
+                fds_[k] >= 0 && live_[k].load(std::memory_order_relaxed);
+            pfds_[k].fd = live ? fds_[k] : -1;
+            pfds_[k].events = POLLIN;
+            pfds_[k].revents = 0;
+            any |= live;
+            buffered |= live && in_[k].size() >= kResponseFrameBytes;
         }
-        if (pfds_.empty())
+        if (!any)
             return false;  // every connection reached end of stream
         const int n = ::poll(pfds_.data(),
-                             static_cast<nfds_t>(pfds_.size()), -1);
+                             static_cast<nfds_t>(pfds_.size()),
+                             buffered ? 0 : -1);
         if (n < 0 && errno != EINTR)
             return false;
     }
@@ -712,38 +727,43 @@ PerRequestTcpTransport::recvResponse(core::Response& out)
         // outstanding, block for the next send (or end of stream).
         int fd = -1;
         while (inflight_.tryPop(fd))
-            pending_.push_back(fd);
+            pending_.push_back(Pending{fd, {}});
         if (pending_.empty()) {
             if (!inflight_.pop(fd))
                 return false;
-            pending_.push_back(fd);
+            pending_.push_back(Pending{fd, {}});
             continue;  // re-merge: more may have queued meanwhile
         }
 
-        std::vector<struct pollfd> pfds(pending_.size());
+        pfds_.resize(pending_.size());
         for (size_t k = 0; k < pending_.size(); k++) {
-            pfds[k].fd = pending_[k];
-            pfds[k].events = POLLIN;
-            pfds[k].revents = 0;
+            pfds_[k].fd = pending_[k].fd;
+            pfds_[k].events = POLLIN;
+            pfds_[k].revents = 0;
         }
         // Short timeout so sockets sent while we were polling join
         // the set promptly.
-        const int n = ::poll(pfds.data(),
-                             static_cast<nfds_t>(pfds.size()), 1);
+        const int n = ::poll(pfds_.data(),
+                             static_cast<nfds_t>(pfds_.size()), 1);
         if (n <= 0)
             continue;
-        for (size_t k = 0; k < pfds.size(); k++) {
-            if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
+        for (size_t k = 0; k < pfds_.size(); k++) {
+            if (!(pfds_[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
-            fd = pending_[k];
-            pending_.erase(pending_.begin() +
-                           static_cast<long>(k));
-            FdStream stream(fd);
-            const WireResult res = recvResponseFrame(stream, out);
+            // The connection carries exactly one response frame.
+            InWindow& in = pending_[k].in;
+            size_t used = 0;
+            const DecodeResult dr =
+                in.readFrom(pending_[k].fd, kResponseFrameBytes) > 0
+                ? tryDecodeResponseFrame(in.data(), in.size(), out, used)
+                : DecodeResult::kBadFrame;
+            if (dr == DecodeResult::kNeedMore)
+                continue;  // the rest of the frame is still in flight
             out.timing.endNs = util::monotonicNs();
-            setLingerRst(fd);
-            ::close(fd);
-            if (res == WireResult::kOk)
+            setLingerRst(pending_[k].fd);
+            ::close(pending_[k].fd);
+            pending_.erase(pending_.begin() + static_cast<long>(k));
+            if (dr == DecodeResult::kFrame)
                 return true;
             TB_LOG_WARN("networked transport: response missing "
                         "(server closed early?)");

@@ -35,7 +35,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -46,7 +45,7 @@
 #include "core/service.h"
 #include "core/transport.h"
 #include "net/reactor.h"
-#include "util/mutex.h"
+#include "net/wire.h"
 
 namespace tb::net {
 
@@ -149,20 +148,13 @@ class TcpServer {
      * its own iteration cannot race the growth — single-writer by
      * thread lifecycle, hence no TB_GUARDED_BY. */
     std::vector<std::thread> reader_threads_;
-    /** Live accepted connections — the accept loop spawns a reader
-     * whenever readers < live, so persistent connections (which pin
-     * a reader each for their whole life) can never starve newly
-     * accepted ones. */
-    std::atomic<size_t> conns_live_{0};
     /** reader_threads_.size() as of the last spawn, readable without
      * racing the accept thread's growth (ioThreads()). */
     std::atomic<unsigned> readers_spawned_{0};
 
-    /** Accepted connections awaiting a reader. */
+    /** Accepted connections awaiting a reader. (Port::routes_ is the
+     * live-connection registry: readers never fall below its size.) */
     core::BlockingQueue<std::shared_ptr<Conn>> pending_;
-
-    util::Mutex conns_mu_;
-    std::set<std::shared_ptr<Conn>> conns_ TB_GUARDED_BY(conns_mu_);
 };
 
 /**
@@ -170,8 +162,9 @@ class TcpServer {
  * N = 1 is the classic single socket, larger N the TailBench++-style
  * multi-client load): sendRequest round-robins requests across the
  * connections and recvResponse multiplexes the collection across all
- * of them with poll, restamping endNs at receipt. finishSend sends FIN
- * on every connection via shutdown(SHUT_WR). Pair the connection
+ * of them with poll and one InWindow each, restamping endNs at
+ * receipt. finishSend sends FIN on every connection via
+ * shutdown(SHUT_WR). Pair the connection
  * count with the server's worker count — connection serials are the
  * sharded port's placement key, so N connections against N shards
  * give every worker its own request stream end to end.
@@ -199,15 +192,16 @@ class MultiConnTcpTransport final : public core::Transport {
      * liveness is advisory; a stale read only writes one more frame
      * to a dead socket, which fails the same graceful way. */
     std::unique_ptr<std::atomic<bool>[]> live_;
-    /** Reused poll set and its fds_ index map — recvResponse runs
-     * once per response on the latency hot path, so its scratch must
-     * not allocate per call; collector-thread-only. */
+    /** Collector-thread-only, indexed like fds_: each connection's
+     * undecoded response bytes, and the reused poll set (fd -1 for a
+     * retired connection) — recvResponse runs once per response on
+     * the latency hot path, so it must not allocate per call. */
+    std::vector<InWindow> in_;
     std::vector<struct pollfd> pfds_;
-    std::vector<size_t> idx_;
     /** Next pfds_ entry to serve from the last poll's result: every
-     * readable connection gets one frame per poll round, so a backlog
-     * on one cannot delay (and inflate the endNs of) a response
-     * already waiting on another; collector-thread-only. */
+     * ready connection gets one frame per poll round, so a backlog on
+     * one cannot delay (and inflate the endNs of) a response already
+     * waiting on another; collector-thread-only. */
     size_t scan_ = 0;
     /** Generator-side round-robin cursor (generator-thread-only). */
     size_t rr_ = 0;
@@ -235,9 +229,14 @@ class PerRequestTcpTransport final : public core::Transport {
     std::string host_;
     uint16_t port_;
     core::BlockingQueue<int> inflight_;
-    /** Sockets moved out of inflight_ and awaiting a readable
-     * response; collector-thread-only, no lock. */
-    std::vector<int> pending_;
+    /** Collector-thread-only: sockets moved out of inflight_ awaiting
+     * their response, and the reused poll set rebuilt from them. */
+    struct Pending {
+        int fd;
+        InWindow in;
+    };
+    std::vector<Pending> pending_;
+    std::vector<struct pollfd> pfds_;
 };
 
 /** Loopback configuration knobs (defaults reproduce the classic

@@ -3,7 +3,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstring>
 
 namespace tb::net {
 
@@ -46,67 +48,9 @@ get64(const uint8_t* p)
         static_cast<uint64_t>(get32(p + 4)) << 32;
 }
 
-/**
- * Reads exactly @p len bytes, distinguishing clean EOF (no bytes at
- * all — a peer that closed at a frame boundary) from a mid-read
- * truncation. The one short-read loop everything else wraps.
- */
-WireResult
-readExact(ByteStream& s, uint8_t* buf, size_t len)
-{
-    size_t got = 0;
-    while (got < len) {
-        const ssize_t n = s.readSome(buf + got, len - got);
-        if (n < 0)
-            return WireResult::kBadFrame;  // error is never a clean EOF
-        if (n == 0)
-            return got == 0 ? WireResult::kEof : WireResult::kBadFrame;
-        got += static_cast<size_t>(n);
-    }
-    return WireResult::kOk;
-}
-
-/**
- * The request header check both request decoders share: magic and
- * payload bound, validated on as much of the first 8 bytes as @p len
- * covers — so the window decoder rejects a hostile prefix before its
- * claimed payload is buffered, and the stream decoder before it
- * allocates.
- */
-bool
-requestHeaderValid(const uint8_t* hdr, size_t len)
-{
-    if (len >= 4 && get32(hdr) != kRequestMagic)
-        return false;
-    return len < 8 || get32(hdr + 4) <= kMaxPayloadBytes;
-}
-
-/** The one response decoder: a full kResponseFrameBytes frame; false
- * on a bad magic or a nonzero reserved word. */
-bool
-decodeResponseFrame(const uint8_t* frame, core::Response& out)
-{
-    if (get32(frame) != kResponseMagic || get32(frame + 4) != 0)
-        return false;
-    out.id = get64(frame + 8);
-    out.checksum = get64(frame + 16);
-    out.ctx = 0;
-    out.timing.genNs = static_cast<int64_t>(get64(frame + 24));
-    out.timing.startNs = static_cast<int64_t>(get64(frame + 32));
-    out.timing.endNs = static_cast<int64_t>(get64(frame + 40));
-    return true;
-}
-
 }  // namespace
 
 ByteStream::~ByteStream() = default;
-
-bool
-readFull(ByteStream& s, void* buf, size_t len)
-{
-    return readExact(s, static_cast<uint8_t*>(buf), len) ==
-        WireResult::kOk;
-}
 
 bool
 writeFull(ByteStream& s, const void* buf, size_t len)
@@ -123,41 +67,33 @@ writeFull(ByteStream& s, const void* buf, size_t len)
 }
 
 bool
-sendRequestFrame(ByteStream& s, const core::Request& req)
+encodeRequestFrame(std::vector<uint8_t>& out, const core::Request& req)
 {
     const std::string_view payload = req.payload.view();
     if (payload.size() > kMaxPayloadBytes)
         return false;
-    uint8_t hdr[kRequestHeaderBytes];
-    put32(hdr, kRequestMagic);
-    put32(hdr + 4, static_cast<uint32_t>(payload.size()));
-    put64(hdr + 8, req.id);
-    put64(hdr + 16, static_cast<uint64_t>(req.genNs));
-    return writeFull(s, hdr, sizeof(hdr)) &&
-        (payload.empty() ||
-         writeFull(s, payload.data(), payload.size()));
+    const size_t at = out.size();
+    out.resize(at + kRequestHeaderBytes + payload.size());
+    uint8_t* p = out.data() + at;
+    put32(p, kRequestMagic);
+    put32(p + 4, static_cast<uint32_t>(payload.size()));
+    put64(p + 8, req.id);
+    put64(p + 16, static_cast<uint64_t>(req.genNs));
+    if (!payload.empty())
+        std::memcpy(p + kRequestHeaderBytes, payload.data(),
+                    payload.size());
+    return true;
 }
 
-WireResult
-recvRequestFrame(ByteStream& s, core::Request& out)
+bool
+sendRequestFrame(ByteStream& s, const core::Request& req)
 {
-    uint8_t hdr[kRequestHeaderBytes];
-    const WireResult hr = readExact(s, hdr, sizeof(hdr));
-    if (hr != WireResult::kOk)
-        return hr;
-    if (!requestHeaderValid(hdr, sizeof(hdr)))
-        return WireResult::kBadFrame;
-    const uint32_t payload_len = get32(hdr + 4);
-    out.id = get64(hdr + 8);
-    out.genNs = static_cast<int64_t>(get64(hdr + 16));
-    out.ctx = 0;  // routing context is per-hop, never wire-carried
-    // Owning payload: this is the blocking (threads-backend) path; the
-    // reactor's allocation-free path decodes via the frame view.
-    std::string payload(payload_len, '\0');
-    if (payload_len > 0 && !readFull(s, &payload[0], payload_len))
-        return WireResult::kBadFrame;
-    out.payload = std::move(payload);
-    return WireResult::kOk;
+    // Per-thread reusable storage: the frame leaves as one write, and
+    // the steady state allocates nothing.
+    static thread_local std::vector<uint8_t> t_frame;
+    t_frame.clear();
+    return encodeRequestFrame(t_frame, req) &&
+        writeFull(s, t_frame.data(), t_frame.size());
 }
 
 void
@@ -172,22 +108,16 @@ encodeResponseFrame(uint8_t* out, const core::Response& resp)
     put64(out + 40, static_cast<uint64_t>(resp.timing.endNs));
 }
 
-WireResult
-recvResponseFrame(ByteStream& s, core::Response& out)
-{
-    uint8_t frame[kResponseFrameBytes];
-    const WireResult hr = readExact(s, frame, sizeof(frame));
-    if (hr != WireResult::kOk)
-        return hr;
-    return decodeResponseFrame(frame, out) ? WireResult::kOk
-                                           : WireResult::kBadFrame;
-}
-
 DecodeResult
 tryDecodeRequestFrameView(const uint8_t* data, size_t len,
                           RequestFrameView& out, size_t& consumed)
 {
-    if (!requestHeaderValid(data, len))
+    // Magic and payload bound are checked on as much of the first 8
+    // bytes as have arrived, so a hostile prefix is rejected before
+    // its claimed payload is buffered.
+    if (len >= 4 && get32(data) != kRequestMagic)
+        return DecodeResult::kBadFrame;
+    if (len >= 8 && get32(data + 4) > kMaxPayloadBytes)
         return DecodeResult::kBadFrame;
     if (len < kRequestHeaderBytes)
         return DecodeResult::kNeedMore;
@@ -211,10 +141,61 @@ tryDecodeResponseFrame(const uint8_t* data, size_t len,
         return DecodeResult::kBadFrame;
     if (len < kResponseFrameBytes)
         return DecodeResult::kNeedMore;
-    if (!decodeResponseFrame(data, out))
+    if (get32(data + 4) != 0)  // reserved word
         return DecodeResult::kBadFrame;
+    out.id = get64(data + 8);
+    out.checksum = get64(data + 16);
+    out.ctx = 0;
+    out.timing.genNs = static_cast<int64_t>(get64(data + 24));
+    out.timing.startNs = static_cast<int64_t>(get64(data + 32));
+    out.timing.endNs = static_cast<int64_t>(get64(data + 40));
     consumed = kResponseFrameBytes;
     return DecodeResult::kFrame;
+}
+
+ssize_t
+InWindow::readFrom(int fd, size_t room)
+{
+    reserve(room);
+    for (;;) {
+        const ssize_t n =
+            ::read(fd, buf_.data() + tail_, buf_.size() - tail_);
+        if (n > 0)
+            tail_ += static_cast<size_t>(n);
+        if (n >= 0 || errno != EINTR)
+            return n;
+    }
+}
+
+void
+InWindow::append(const uint8_t* p, size_t len)
+{
+    reserve(len);
+    std::memcpy(buf_.data() + tail_, p, len);
+    tail_ += len;
+}
+
+void
+InWindow::consume(size_t n)
+{
+    head_ += n;
+    if (head_ == tail_)
+        head_ = tail_ = 0;
+}
+
+void
+InWindow::reserve(size_t n)
+{
+    if (buf_.size() - tail_ >= n)
+        return;
+    // Slide the live bytes (a cut frame) to the front; grow only if
+    // the consumed prefix does not make the room.
+    if (head_ > 0)
+        std::memmove(buf_.data(), buf_.data() + head_, tail_ - head_);
+    tail_ -= head_;
+    head_ = 0;
+    if (buf_.size() - tail_ < n)
+        buf_.resize(std::max(2 * buf_.size(), tail_ + n));
 }
 
 ssize_t

@@ -36,6 +36,13 @@ this repo has been burned by, or nearly so):
                 keeps one timed-sleep seam, sleepUntilNs, which knows
                 that a coarse sleep overshoots by the thread's timer
                 slack (TimerSlackScope) and spins the last stretch.
+  wire-seam     no raw read(/recv( socket reads in net/, core/ and
+                bench/ outside net/wire.cc (InWindow::readFrom) and
+                net/reactor.cc (its zero-copy scratch read) — every
+                socket reader decodes from one byte window through the
+                tryDecode pair; a hand-rolled read loop grows a second
+                framing path with its own partial-read and hostile-
+                prefix handling.
 
 A line ending in `// tb-lint: allow(<rule>)` waives that rule for
 that line; the waiver is grep-able, so exceptions stay auditable.
@@ -59,9 +66,12 @@ CLOCK_SEAM_ALLOWED = {"util/clock.h", "util/clock.cc"}
 ARRIVAL_SEAM_DIRS = ("core", "sim", "queueing", "net", "apps", "bench")
 ARRIVAL_SEAM_ALLOWED = {"core/arrival.cc"}
 SLEEP_SEAM_DIRS = ("core", "sim", "queueing", "apps")
+WIRE_SEAM_DIRS = ("net", "core", "bench")
+WIRE_SEAM_ALLOWED = {"net/wire.cc", "net/reactor.cc"}
 
 ALLOW_RE = re.compile(r"//\s*tb-lint:\s*allow\(([a-z-]+)\)\s*$")
 LINE_COMMENT_RE = re.compile(r"//.*$")
+BLOCK_COMMENT_LINE_RE = re.compile(r"^\s*(?:/\*|\*)")
 
 GETENV_RE = re.compile(r"(?<![\w.])(?:std::|::)?getenv\s*\(")
 RAND_RE = re.compile(r"(?<![\w.])(?:std::|::)?s?rand\s*\(")
@@ -73,6 +83,8 @@ NEXT_EXP_RE = re.compile(r"\bnextExponential\s*\(")
 SLEEP_RE = re.compile(
     r"(?<![\w.])(?:::)?(?:clock_nanosleep|nanosleep|usleep)\s*\("
     r"|\bsleep_(?:for|until)\s*\(")
+SOCKET_READ_RE = re.compile(
+    r"(?<![\w.>])(?:::)?(?:read|recv|recvfrom|recvmsg)\s*\(")
 
 ADD_TEST_RE = re.compile(r"add_test\s*\(\s*NAME\s+([^\s)]+)", re.I)
 PROPS_RE = re.compile(r"set_tests_properties\s*\(([^)]*)\)",
@@ -131,6 +143,9 @@ def check_cxx(path, findings):
                                           ARRIVAL_SEAM_DIRS))
     in_sleep_scope = r.startswith(tuple(d + "/" for d in
                                         SLEEP_SEAM_DIRS))
+    in_wire_scope = (r.startswith(tuple(d + "/" for d in
+                                        WIRE_SEAM_DIRS))
+                     and r not in WIRE_SEAM_ALLOWED)
     with open(path, encoding="utf-8") as f:
         for lineno, raw in enumerate(f, 1):
             line = LINE_COMMENT_RE.sub("", strip_strings(raw))
@@ -173,6 +188,15 @@ def check_cxx(path, findings):
                      "raw timed sleep outside util/clock.h — sleep "
                      "through util::sleepUntilNs (under a "
                      "TimerSlackScope where precision matters)"))
+
+            if (in_wire_scope and SOCKET_READ_RE.search(line)
+                    and not BLOCK_COMMENT_LINE_RE.match(line)
+                    and not waived(raw, "wire-seam")):
+                findings.append(
+                    (r, lineno, "wire-seam",
+                     "raw socket read outside net/wire.cc — read into "
+                     "a net::InWindow and decode through the tryDecode "
+                     "pair"))
 
             if (r == "net/reactor.cc" and BLOCKING_RE.search(line)
                     and not waived(raw, "reactor-block")):

@@ -1,7 +1,9 @@
-/** Unit tests: net/wire.h framing (round-trips under partial reads /
- * short writes, oversized-payload rejection, EOF vs truncation) and
- * the socket harnesses end to end (TcpServer + transports,
- * LoopbackHarness vs IntegratedHarness, NetworkedHarness). */
+/** Unit tests: net/wire.h framing (encode/decode round-trips, window
+ * decode under arbitrary cuts, oversized-payload rejection), the
+ * socket readers on top of it (frames split across reads, cut short by
+ * EOF, hostile prefixes) and the socket harnesses end to end
+ * (TcpServer + transports, LoopbackHarness vs IntegratedHarness,
+ * NetworkedHarness). */
 
 #include "net/wire.h"
 
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
@@ -27,6 +30,7 @@
 #include "util/clock.h"
 #include "util/stats.h"
 
+#include "tests/net_test_util.h"
 #include "tests/test_util.h"
 
 using tb::core::HarnessConfig;
@@ -34,38 +38,29 @@ using tb::core::Request;
 using tb::core::RequestTiming;
 using tb::core::Response;
 using tb::core::RunResult;
-using tb::net::ByteStream;
-using tb::net::WireResult;
+using tb::net::DecodeResult;
+using tb::net::InWindow;
+using tb::test::cleanEof;
+using tb::test::recvResponseFrom;
+using tb::test::sendAll;
 
 namespace {
 
 /**
- * In-memory stream that deliberately fragments I/O: reads return at
- * most @p maxRead bytes, writes accept at most @p maxWrite — the
- * short-read/short-write behavior of a real socket, without one.
+ * In-memory write-only stream that accepts at most @p maxWrite bytes
+ * per writeSome — the short-write behaviour of a real socket, without
+ * one — and counts the calls.
  */
-class MemStream final : public ByteStream {
+class MemStream final : public tb::net::ByteStream {
   public:
-    MemStream(size_t maxRead, size_t maxWrite)
-        : max_read_(maxRead), max_write_(maxWrite)
-    {
-    }
+    explicit MemStream(size_t maxWrite) : max_write_(maxWrite) {}
 
-    ssize_t
-    readSome(void* buf, size_t len) override
-    {
-        if (pos_ >= data_.size())
-            return 0;  // EOF
-        const size_t n =
-            std::min({len, max_read_, data_.size() - pos_});
-        std::memcpy(buf, data_.data() + pos_, n);
-        pos_ += n;
-        return static_cast<ssize_t>(n);
-    }
+    ssize_t readSome(void*, size_t) override { return -1; }
 
     ssize_t
     writeSome(const void* buf, size_t len) override
     {
+        writes_++;
         const size_t n = std::min(len, max_write_);
         const uint8_t* p = static_cast<const uint8_t*>(buf);
         data_.insert(data_.end(), p, p + n);
@@ -73,12 +68,69 @@ class MemStream final : public ByteStream {
     }
 
     std::vector<uint8_t> data_;
-    size_t pos_ = 0;
+    unsigned writes_ = 0;
 
   private:
-    size_t max_read_;
     size_t max_write_;
 };
+
+/** FNV-1a, the checksum HashApp answers with: a response then proves
+ * every payload byte arrived intact. */
+uint64_t
+fnv1a(std::string_view s)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+class HashApp final : public tb::apps::App {
+  public:
+    const std::string& name() const override { return name_; }
+    void init(const tb::apps::AppConfig&) override {}
+    std::string genRequest(tb::util::Rng&) override { return "hash"; }
+    uint64_t process(std::string_view request) override
+    {
+        return fnv1a(request);
+    }
+    int64_t serviceNsFor(std::string_view) const override { return 1; }
+    tb::apps::AppProfile profile() const override { return {}; }
+
+  private:
+    std::string name_ = "hash";
+};
+
+/** Runs @p body with this process's stderr captured; returns what it
+ * wrote (the warnings a reader logs). */
+template <typename F>
+std::string
+captureStderr(F&& body)
+{
+    std::fflush(stderr);
+    const int saved = ::dup(2);
+    std::FILE* tmp = std::tmpfile();
+    CHECK(saved >= 0 && tmp != nullptr);
+    if (saved < 0 || tmp == nullptr) {
+        body();
+        return {};
+    }
+    ::dup2(::fileno(tmp), 2);
+    body();
+    std::fflush(stderr);
+    ::dup2(saved, 2);
+    ::close(saved);
+    std::string text;
+    std::rewind(tmp);
+    char buf[512];
+    size_t n;
+    while ((n = std::fread(buf, 1, sizeof(buf), tmp)) > 0)
+        text.append(buf, n);
+    std::fclose(tmp);
+    return text;
+}
 
 std::unique_ptr<tb::apps::App>
 makeTestApp()
@@ -129,11 +181,11 @@ listenLoopback(uint16_t& port)
 /** Writes one response frame the way the server does, through
  * encodeResponseFrame, for the hand-rolled servers below. */
 bool
-writeResponseFrame(ByteStream& s, const Response& resp)
+writeResponseFrame(int fd, const Response& resp)
 {
     uint8_t frame[tb::net::kResponseFrameBytes];
     tb::net::encodeResponseFrame(frame, resp);
-    return tb::net::writeFull(s, frame, sizeof(frame));
+    return sendAll(fd, frame, sizeof(frame));
 }
 
 /** Near-nop app whose process() blocks until open(): holding the
@@ -244,48 +296,70 @@ checkTwoClientRouting(tb::net::IoMode mode, tb::core::QueuePolicy policy)
 int
 main()
 {
-    // Request round-trip through a maximally fragmenting stream: the
-    // sender sees short writes, the receiver short reads.
+    // Request round-trip: sendRequestFrame through a stream that
+    // takes 2 bytes per write, decoded from the bytes it received.
     {
-        MemStream s(/*maxRead=*/3, /*maxWrite=*/2);
+        MemStream s(/*maxWrite=*/2);
         Request in;
         in.id = 0x1122334455667788ull;
         in.payload = "the quick brown fox";
         in.genNs = -12345;  // sign must survive
         CHECK(tb::net::sendRequestFrame(s, in));
-        Request out;
-        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kOk);
+        tb::net::RequestFrameView out;
+        size_t consumed = 0;
+        CHECK(tb::net::tryDecodeRequestFrameView(
+                  s.data_.data(), s.data_.size(), out, consumed) ==
+              DecodeResult::kFrame);
+        CHECK_EQ(consumed, s.data_.size());
         CHECK_EQ(out.id, in.id);
-        CHECK(out.payload == in.payload);
+        CHECK(out.payloadView() == in.payload.view());
         CHECK_EQ(out.genNs, in.genNs);
-        // The stream is now drained: a further recv is a clean EOF.
-        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kEof);
+    }
+
+    // A frame the stream accepts whole leaves in exactly one write —
+    // header and payload together, not one send() each.
+    {
+        MemStream s(/*maxWrite=*/1 << 20);
+        Request in;
+        in.id = 8;
+        in.payload = "one frame, one write";
+        CHECK(tb::net::sendRequestFrame(s, in));
+        CHECK_EQ(s.writes_, 1u);
+        CHECK_EQ(s.data_.size(),
+                 tb::net::kRequestHeaderBytes + in.payload.size());
     }
 
     // Empty payload round-trips too.
     {
-        MemStream s(1, 1);
+        std::vector<uint8_t> bytes;
         Request in;
         in.id = 7;
-        CHECK(tb::net::sendRequestFrame(s, in));
-        Request out;
-        out.payload = "stale";
-        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kOk);
-        CHECK(out.payload.empty());
+        CHECK(tb::net::encodeRequestFrame(bytes, in));
+        CHECK_EQ(bytes.size(), tb::net::kRequestHeaderBytes);
+        tb::net::RequestFrameView out;
+        size_t consumed = 0;
+        CHECK(tb::net::tryDecodeRequestFrameView(
+                  bytes.data(), bytes.size(), out, consumed) ==
+              DecodeResult::kFrame);
+        CHECK_EQ(out.id, in.id);
+        CHECK_EQ(out.payloadLen, 0u);
     }
 
     // Response round-trip.
     {
-        MemStream s(3, 2);
         Response in;
         in.id = 99;
         in.checksum = 0xdeadbeefcafef00dull;
         in.timing.genNs = 1000;
         in.timing.startNs = 2000;
         in.timing.endNs = 3500;
-        CHECK(writeResponseFrame(s, in));
+        uint8_t frame[tb::net::kResponseFrameBytes];
+        tb::net::encodeResponseFrame(frame, in);
         Response out;
-        CHECK(tb::net::recvResponseFrame(s, out) == WireResult::kOk);
+        size_t consumed = 0;
+        CHECK(tb::net::tryDecodeResponseFrame(frame, sizeof(frame), out,
+                                              consumed) ==
+              DecodeResult::kFrame);
         CHECK_EQ(out.id, in.id);
         CHECK_EQ(out.checksum, in.checksum);
         CHECK_EQ(out.timing.genNs, in.timing.genNs);
@@ -293,109 +367,89 @@ main()
         CHECK_EQ(out.timing.endNs, in.timing.endNs);
     }
 
-    // Back-to-back frames on one stream stay framed.
+    // Back-to-back frames in one window stay framed, and a cut frame
+    // at the end waits for more bytes.
     {
-        MemStream s(5, 3);
+        std::vector<uint8_t> bytes;
         for (uint64_t i = 0; i < 10; i++) {
             Request in;
             in.id = i;
             in.payload = std::string(i, 'x');
-            CHECK(tb::net::sendRequestFrame(s, in));
+            CHECK(tb::net::encodeRequestFrame(bytes, in));
         }
-        for (uint64_t i = 0; i < 10; i++) {
-            Request out;
-            CHECK(tb::net::recvRequestFrame(s, out) ==
-                  WireResult::kOk);
-            CHECK_EQ(out.id, i);
-            CHECK_EQ(out.payload.size(), static_cast<size_t>(i));
-        }
-        Request out;
-        CHECK(tb::net::recvRequestFrame(s, out) == WireResult::kEof);
+        uint64_t next_id = 0;
+        size_t used = 0;
+        CHECK(tb::net::decodeRequestFrames(
+            bytes.data(), bytes.size() - 1, used,
+            [&](const tb::net::RequestFrameView& out) {
+                CHECK_EQ(out.id, next_id);
+                CHECK_EQ(out.payloadLen, static_cast<uint32_t>(next_id));
+                next_id++;
+            }));
+        CHECK_EQ(next_id, 9u);
+        CHECK_EQ(used, bytes.size() - (tb::net::kRequestHeaderBytes + 9));
     }
 
-    // Oversized payload: the sender refuses, and a hand-crafted header
-    // claiming an oversized payload is rejected before any allocation.
+    // Oversized payload: the encoder refuses and appends nothing.
     {
-        MemStream s(64, 64);
+        MemStream s(64);
         Request big;
         big.payload.assign(tb::net::kMaxPayloadBytes + 1, 'x');
         CHECK(!tb::net::sendRequestFrame(s, big));
-
-        const uint32_t magic = tb::net::kRequestMagic;
-        const uint32_t huge = tb::net::kMaxPayloadBytes + 1;
-        uint8_t hdr[24] = {0};
-        std::memcpy(hdr, &magic, 4);
-        std::memcpy(hdr + 4, &huge, 4);
-        s.data_.assign(hdr, hdr + sizeof(hdr));
-        Request out;
-        CHECK(tb::net::recvRequestFrame(s, out) ==
-              WireResult::kBadFrame);
+        CHECK(s.data_.empty());
+        std::vector<uint8_t> bytes(3, 0);
+        CHECK(!tb::net::encodeRequestFrame(bytes, big));
+        CHECK_EQ(bytes.size(), 3u);
     }
 
-    // Bad magic and mid-frame truncation are kBadFrame, not kEof.
+    // A corrupt magic in a whole frame is a bad frame, not a wait.
     {
-        MemStream s(64, 64);
+        std::vector<uint8_t> bytes;
         Request in;
         in.id = 3;
         in.payload = "payload";
-        CHECK(tb::net::sendRequestFrame(s, in));
-        s.data_[0] ^= 0xff;  // corrupt magic
-        Request out;
-        CHECK(tb::net::recvRequestFrame(s, out) ==
-              WireResult::kBadFrame);
-    }
-    {
-        MemStream s(64, 64);
-        Request in;
-        in.id = 4;
-        in.payload = "payload";
-        CHECK(tb::net::sendRequestFrame(s, in));
-        s.data_.resize(s.data_.size() - 3);  // cut payload short
-        Request out;
-        CHECK(tb::net::recvRequestFrame(s, out) ==
-              WireResult::kBadFrame);
-        // Truncation inside the *header* is also kBadFrame.
-        MemStream s2(64, 64);
-        s2.data_.assign(s.data_.begin(), s.data_.begin() + 5);
-        CHECK(tb::net::recvRequestFrame(s2, out) ==
-              WireResult::kBadFrame);
+        CHECK(tb::net::encodeRequestFrame(bytes, in));
+        bytes[0] ^= 0xff;
+        tb::net::RequestFrameView out;
+        size_t consumed = 0;
+        CHECK(tb::net::tryDecodeRequestFrameView(
+                  bytes.data(), bytes.size(), out, consumed) ==
+              DecodeResult::kBadFrame);
     }
 
     // Incremental (buffer-window) decode under adversarial chunking:
-    // the reactor's read path sees frames cut anywhere, including
+    // every socket reader sees frames cut anywhere, including
     // mid-header. Feeding the window one byte at a time must return
     // kNeedMore at every prefix and decode exactly at the boundary.
     {
-        MemStream s(64, 64);
+        std::vector<uint8_t> bytes;
         Request in;
         in.id = 0xabcdef0123456789ull;
         in.payload = "incremental decode";
         in.genNs = -777;
-        CHECK(tb::net::sendRequestFrame(s, in));
-        const std::vector<uint8_t>& bytes = s.data_;
+        CHECK(tb::net::encodeRequestFrame(bytes, in));
         tb::net::RequestFrameView out;
         size_t consumed = 0;
         for (size_t len = 0; len < bytes.size(); len++)
             CHECK(tb::net::tryDecodeRequestFrameView(bytes.data(), len,
                                                      out, consumed) ==
-                  tb::net::DecodeResult::kNeedMore);
+                  DecodeResult::kNeedMore);
         CHECK(tb::net::tryDecodeRequestFrameView(bytes.data(),
                                                  bytes.size(), out,
                                                  consumed) ==
-              tb::net::DecodeResult::kFrame);
+              DecodeResult::kFrame);
         CHECK_EQ(consumed, bytes.size());
         CHECK_EQ(out.id, in.id);
-        CHECK(std::string_view(
-                  reinterpret_cast<const char*>(out.payload),
-                  out.payloadLen) == in.payload.view());
+        CHECK(out.payloadView() == in.payload.view());
         CHECK_EQ(out.genNs, in.genNs);
     }
 
-    // Randomized-split streams: many frames concatenated, consumed
-    // from windows whose growth is random — every frame must come out
-    // intact and in order regardless of where the cuts fall.
+    // Randomized-split streams through an InWindow: many frames
+    // concatenated arrive in chunks of random size; the window keeps
+    // each cut frame's prefix (sliding it forward or growing as
+    // needed), and every frame must come out intact and in order.
     {
-        MemStream s(1 << 20, 1 << 20);
+        std::vector<uint8_t> bytes;
         constexpr uint64_t kFrames = 50;
         tb::util::Rng rng(99);
         for (uint64_t i = 0; i < kFrames; i++) {
@@ -404,37 +458,33 @@ main()
             in.payload = std::string(
                 static_cast<size_t>(rng.next() % 700), 'a' + i % 26);
             in.genNs = static_cast<int64_t>(i) * 3 - 10;
-            CHECK(tb::net::sendRequestFrame(s, in));
+            CHECK(tb::net::encodeRequestFrame(bytes, in));
         }
-        const std::vector<uint8_t>& bytes = s.data_;
-        size_t avail = 0;  // how much of the stream has "arrived"
-        size_t head = 0;   // consumed prefix
+        InWindow win;
+        size_t fed = 0;
         uint64_t next_id = 0;
-        while (next_id < kFrames) {
-            if (avail < bytes.size())
-                avail += std::min(bytes.size() - avail,
-                                  1 + static_cast<size_t>(
-                                          rng.next() % 97));
-            for (;;) {
-                tb::net::RequestFrameView out;
-                size_t consumed = 0;
-                const tb::net::DecodeResult dr =
-                    tb::net::tryDecodeRequestFrameView(
-                        bytes.data() + head, avail - head, out,
-                        consumed);
-                if (dr != tb::net::DecodeResult::kFrame)
-                    break;
-                CHECK_EQ(out.id, next_id);
-                CHECK_EQ(out.genNs,
-                         static_cast<int64_t>(next_id) * 3 - 10);
-                CHECK_EQ(out.payloadLen,
-                         static_cast<uint32_t>(consumed -
-                                               tb::net::kRequestHeaderBytes));
-                head += consumed;
-                next_id++;
-            }
+        while (fed < bytes.size()) {
+            const size_t chunk =
+                std::min(bytes.size() - fed,
+                         1 + static_cast<size_t>(rng.next() % 97));
+            win.append(bytes.data() + fed, chunk);
+            fed += chunk;
+            size_t used = 0;
+            CHECK(tb::net::decodeRequestFrames(
+                win.data(), win.size(), used,
+                [&](const tb::net::RequestFrameView& out) {
+                    CHECK_EQ(out.id, next_id);
+                    CHECK_EQ(out.genNs,
+                             static_cast<int64_t>(next_id) * 3 - 10);
+                    CHECK(out.payloadView() ==
+                          std::string(out.payloadLen,
+                                      'a' + next_id % 26));
+                    next_id++;
+                }));
+            win.consume(used);
         }
-        CHECK_EQ(head, bytes.size());
+        CHECK_EQ(next_id, kFrames);
+        CHECK(win.empty());
     }
 
     // The incremental decoder rejects hostile prefixes as early as the
@@ -446,37 +496,238 @@ main()
         size_t consumed = 0;
         CHECK(tb::net::tryDecodeRequestFrameView(bad, 4, out,
                                                  consumed) ==
-              tb::net::DecodeResult::kBadFrame);
+              DecodeResult::kBadFrame);
         const uint32_t magic = tb::net::kRequestMagic;
         const uint32_t huge = tb::net::kMaxPayloadBytes + 1;
         std::memcpy(bad, &magic, 4);
         std::memcpy(bad + 4, &huge, 4);
         CHECK(tb::net::tryDecodeRequestFrameView(bad, 8, out,
                                                  consumed) ==
-              tb::net::DecodeResult::kBadFrame);
+              DecodeResult::kBadFrame);
 
-        MemStream s(64, 64);
         Response rin;
         rin.id = 55;
         rin.checksum = 0x1234;
         rin.timing.genNs = 10;
         rin.timing.startNs = 20;
         rin.timing.endNs = 30;
-        CHECK(writeResponseFrame(s, rin));
-        CHECK_EQ(s.data_.size(), tb::net::kResponseFrameBytes);
+        uint8_t frame[tb::net::kResponseFrameBytes];
+        tb::net::encodeResponseFrame(frame, rin);
         Response rout;
-        for (size_t len = 0; len < s.data_.size(); len++)
-            CHECK(tb::net::tryDecodeResponseFrame(s.data_.data(), len,
-                                                  rout, consumed) ==
-                  tb::net::DecodeResult::kNeedMore);
-        CHECK(tb::net::tryDecodeResponseFrame(s.data_.data(),
-                                              s.data_.size(), rout,
+        for (size_t len = 0; len < sizeof(frame); len++)
+            CHECK(tb::net::tryDecodeResponseFrame(frame, len, rout,
+                                                  consumed) ==
+                  DecodeResult::kNeedMore);
+        CHECK(tb::net::tryDecodeResponseFrame(frame, sizeof(frame), rout,
                                               consumed) ==
-              tb::net::DecodeResult::kFrame);
-        CHECK_EQ(consumed, s.data_.size());
+              DecodeResult::kFrame);
+        CHECK_EQ(consumed, sizeof(frame));
         CHECK_EQ(rout.id, rin.id);
         CHECK_EQ(rout.checksum, rin.checksum);
         CHECK_EQ(rout.timing.endNs, rin.timing.endNs);
+    }
+
+    // Server readers, both IO backends: a request frame split at every
+    // byte offset across two writes (a pause between them, so the
+    // reader sees the cut) arrives intact — the response's checksum
+    // hashes every payload byte.
+    for (const tb::net::IoMode mode :
+         {tb::net::IoMode::kThreads, tb::net::IoMode::kReactor}) {
+        HashApp app;
+        tb::net::IoOptions io;
+        io.mode = mode;
+        tb::net::TcpServer server(app, 1, 0, true, {}, {}, io);
+        CHECK(server.listening());
+        server.start();
+        const int fd = tb::net::connectTcp("127.0.0.1", server.port());
+        CHECK(fd >= 0);
+        Request req;
+        req.payload = "split at every byte offset";
+        const size_t frame_bytes =
+            tb::net::kRequestHeaderBytes + req.payload.size();
+        InWindow in;
+        for (size_t cut = 1; cut < frame_bytes; cut++) {
+            req.id = cut;
+            req.genNs = static_cast<int64_t>(cut) * 7;
+            std::vector<uint8_t> frame;
+            CHECK(tb::net::encodeRequestFrame(frame, req));
+            CHECK(sendAll(fd, frame.data(), cut));
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            CHECK(sendAll(fd, frame.data() + cut, frame.size() - cut));
+            Response resp;
+            CHECK(recvResponseFrom(fd, in, resp));
+            CHECK_EQ(resp.id, static_cast<uint64_t>(cut));
+            CHECK_EQ(resp.timing.genNs, req.genNs);
+            CHECK_EQ(resp.checksum, fnv1a(req.payload.view()));
+        }
+        ::shutdown(fd, SHUT_WR);
+        CHECK(cleanEof(fd, in));
+        ::close(fd);
+        server.stop();
+    }
+
+    // Server readers, both IO backends: a frame cut short by end of
+    // stream is warned about and dropped — the whole frame before it
+    // is still answered — and a bad-magic or oversized prefix closes
+    // the connection at once, while the peer still holds its write
+    // side open: the claimed payload is never waited for.
+    for (const tb::net::IoMode mode :
+         {tb::net::IoMode::kThreads, tb::net::IoMode::kReactor}) {
+        HashApp app;
+        tb::net::IoOptions io;
+        io.mode = mode;
+        tb::net::TcpServer server(app, 1, 0, true, {}, {}, io);
+        CHECK(server.listening());
+        server.start();
+
+        Request req;
+        req.id = 1;
+        req.payload = "whole";
+        std::vector<uint8_t> bytes;
+        CHECK(tb::net::encodeRequestFrame(bytes, req));
+        const size_t whole = bytes.size();
+        req.id = 2;
+        CHECK(tb::net::encodeRequestFrame(bytes, req));
+        bytes.resize(whole + 10);  // the second frame, cut mid-header
+        const int fd = tb::net::connectTcp("127.0.0.1", server.port());
+        CHECK(fd >= 0);
+        const std::string log = captureStderr([&] {
+            CHECK(sendAll(fd, bytes.data(), bytes.size()));
+            ::shutdown(fd, SHUT_WR);
+            InWindow in;
+            Response resp;
+            CHECK(recvResponseFrom(fd, in, resp));
+            CHECK_EQ(resp.id, 1u);
+            CHECK(cleanEof(fd, in));
+        });
+        CHECK(log.find("cut short") != std::string::npos);
+        ::close(fd);
+
+        uint8_t hostile[8];
+        const uint32_t magic = tb::net::kRequestMagic;
+        const uint32_t huge = tb::net::kMaxPayloadBytes + 1;
+        const uint32_t bad_magic = 0x12345678;
+        std::memcpy(hostile + 4, &huge, 4);
+        for (const uint32_t m : {magic, bad_magic}) {
+            std::memcpy(hostile, &m, 4);
+            const size_t len = m == magic ? 8 : 4;
+            const int hfd =
+                tb::net::connectTcp("127.0.0.1", server.port());
+            CHECK(hfd >= 0);
+            const std::string hlog = captureStderr([&] {
+                CHECK(sendAll(hfd, hostile, len));
+                InWindow in;
+                CHECK(cleanEof(hfd, in));
+            });
+            CHECK(hlog.find("malformed") != std::string::npos);
+            ::close(hfd);
+        }
+        server.stop();
+    }
+
+    // Client collector (MultiConnTcpTransport) against a hand-rolled
+    // server: a response split at every byte offset arrives intact;
+    // the server answers each request in two writes with a pause
+    // between, so the collector reads the prefix alone first. Then a
+    // response cut short by the server's FIN is warned about and
+    // dropped.
+    {
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
+        const auto respFor = [](uint64_t id) {
+            Response r;
+            r.id = id;
+            r.checksum = id * 0x9e3779b97f4a7c15ull;
+            r.timing.genNs = static_cast<int64_t>(id) * 3;
+            r.timing.startNs = static_cast<int64_t>(id) * 5;
+            r.timing.endNs = static_cast<int64_t>(id) * 11;
+            return r;
+        };
+        std::thread srv([lfd, &respFor] {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            CHECK(fd >= 0);
+            InWindow in;
+            uint8_t frame[tb::net::kResponseFrameBytes];
+            for (size_t cut = 1; cut < sizeof(frame); cut++) {
+                // Wait for the client's request: the two sides move in
+                // lock step, so no response overtakes the cut.
+                bool got = false;
+                while (!got && in.readFrom(fd) > 0) {
+                    size_t used = 0;
+                    CHECK(tb::net::decodeRequestFrames(
+                        in.data(), in.size(), used,
+                        [&](const tb::net::RequestFrameView&) {
+                            got = true;
+                        }));
+                    in.consume(used);
+                }
+                CHECK(got);
+                tb::net::encodeResponseFrame(frame, respFor(cut));
+                CHECK(sendAll(fd, frame, cut));
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+                CHECK(sendAll(fd, frame + cut, sizeof(frame) - cut));
+            }
+            // One whole frame, then half of one and the FIN.
+            tb::net::encodeResponseFrame(frame, respFor(100));
+            CHECK(sendAll(fd, frame, sizeof(frame)));
+            CHECK(sendAll(fd, frame, sizeof(frame) / 2));
+            ::shutdown(fd, SHUT_WR);
+            ::close(fd);
+        });
+        tb::net::MultiConnTcpTransport transport("127.0.0.1", port, 1);
+        CHECK(transport.connected());
+        for (uint64_t cut = 1; cut < tb::net::kResponseFrameBytes;
+             cut++) {
+            Request req;
+            req.id = cut;
+            req.payload = "x";
+            transport.sendRequest(std::move(req));
+            Response resp;
+            CHECK(transport.recvResponse(resp));
+            const Response want = respFor(cut);
+            CHECK_EQ(resp.id, want.id);
+            CHECK_EQ(resp.checksum, want.checksum);
+            CHECK_EQ(resp.timing.genNs, want.timing.genNs);
+            CHECK_EQ(resp.timing.startNs, want.timing.startNs);
+        }
+        const std::string log = captureStderr([&] {
+            Response resp;
+            CHECK(transport.recvResponse(resp));
+            CHECK_EQ(resp.id, 100u);
+            CHECK(!transport.recvResponse(resp));
+        });
+        CHECK(log.find("cut short") != std::string::npos);
+        srv.join();
+        ::close(lfd);
+    }
+
+    // Client collector: a bad-magic response prefix retires the
+    // connection at once, while the server still holds it open — the
+    // rest of the frame is never waited for.
+    {
+        uint16_t port = 0;
+        const int lfd = listenLoopback(port);
+        std::thread srv([lfd] {
+            const int fd = ::accept(lfd, nullptr, nullptr);
+            CHECK(fd >= 0);
+            const uint32_t bad_magic = 0x12345678;
+            CHECK(sendAll(fd, &bad_magic, 4));
+            // Hold the connection until the client closes it.
+            InWindow in;
+            while (in.readFrom(fd) > 0)
+                in.consume(in.size());
+            ::close(fd);
+        });
+        {
+            tb::net::MultiConnTcpTransport transport("127.0.0.1", port,
+                                                     1);
+            CHECK(transport.connected());
+            Response resp;
+            CHECK(!transport.recvResponse(resp));
+        }
+        srv.join();
+        ::close(lfd);
     }
 
     // One request through the real TCP stack: TcpServer running the
@@ -741,42 +992,21 @@ main()
             const int b = ::accept(lfd, nullptr, nullptr);
             CHECK(a >= 0 && b >= 0);
             ::close(b);  // mid-stream retirement under test
-            std::vector<uint8_t> buf;
-            uint8_t tmp[4096];
-            for (;;) {
-                const ssize_t n = ::read(a, tmp, sizeof(tmp));
-                if (n <= 0)
-                    break;
-                buf.insert(buf.end(), tmp, tmp + n);
-                size_t head = 0;
-                for (;;) {
-                    tb::net::RequestFrameView req;
-                    size_t consumed = 0;
-                    const auto r = tb::net::tryDecodeRequestFrameView(
-                        buf.data() + head, buf.size() - head, req,
-                        consumed);
-                    if (r != tb::net::DecodeResult::kFrame)
-                        break;
-                    head += consumed;
-                    Response resp;
-                    resp.id = req.id;
-                    resp.timing.genNs = req.genNs;
-                    resp.timing.startNs = req.genNs + 1;
-                    resp.timing.endNs = req.genNs + 2;
-                    uint8_t frame[tb::net::kResponseFrameBytes];
-                    tb::net::encodeResponseFrame(frame, resp);
-                    size_t sent = 0;
-                    while (sent < sizeof(frame)) {
-                        const ssize_t w =
-                            ::send(a, frame + sent,
-                                   sizeof(frame) - sent, MSG_NOSIGNAL);
-                        if (w <= 0)
-                            break;
-                        sent += static_cast<size_t>(w);
-                    }
-                }
-                buf.erase(buf.begin(),
-                          buf.begin() + static_cast<long>(head));
+            InWindow in;
+            while (in.readFrom(a) > 0) {
+                size_t used = 0;
+                tb::net::decodeRequestFrames(
+                    in.data(), in.size(), used,
+                    [a](const tb::net::RequestFrameView& req) {
+                        Response resp;
+                        resp.id = req.id;
+                        resp.timing.genNs = req.genNs;
+                        resp.timing.startNs = req.genNs + 1;
+                        resp.timing.endNs = req.genNs + 2;
+                        // A write may fail once the client is gone.
+                        writeResponseFrame(a, resp);
+                    });
+                in.consume(used);
             }
             ::shutdown(a, SHUT_WR);
             ::close(a);
@@ -828,12 +1058,17 @@ main()
             // k, so each request names the connection it came in on.
             int by_conn[2] = {-1, -1};
             for (const int fd : fds) {
-                tb::net::FdStream stream(fd);
-                Request req;
-                CHECK(tb::net::recvRequestFrame(stream, req) ==
-                      WireResult::kOk);
-                if (req.id < 2)
-                    by_conn[req.id] = fd;
+                InWindow in;
+                uint64_t id = 2;
+                size_t used = 0;
+                while (id == 2 && in.readFrom(fd) > 0)
+                    CHECK(tb::net::decodeRequestFrames(
+                        in.data(), in.size(), used,
+                        [&](const tb::net::RequestFrameView& req) {
+                            id = req.id;
+                        }));
+                if (id < 2)
+                    by_conn[id] = fd;
             }
             CHECK(by_conn[0] >= 0 && by_conn[1] >= 0);
             const auto reply = [](int fd, uint64_t id) {
@@ -841,8 +1076,7 @@ main()
                 resp.id = id;
                 resp.timing.startNs = 1;
                 resp.timing.endNs = 2;
-                tb::net::FdStream stream(fd);
-                CHECK(writeResponseFrame(stream, resp));
+                CHECK(writeResponseFrame(fd, resp));
             };
             for (uint64_t i = 0; i < kBacklog; i++)
                 reply(by_conn[0], i);

@@ -26,11 +26,16 @@
 #include "util/clock.h"
 #include "util/rng.h"
 
+#include "tests/net_test_util.h"
 #include "tests/test_util.h"
 
 using tb::core::Request;
 using tb::core::Response;
+using tb::net::InWindow;
+using tb::test::cleanEof;
 using tb::test::NopApp;
+using tb::test::recvResponseFrom;
+using tb::test::sendAll;
 
 namespace {
 
@@ -152,19 +157,17 @@ main()
         // Collect every stream: exactly kPerConn responses, each
         // carrying this connection's genNs tags, then clean EOF.
         for (unsigned c = 0; c < kConns; c++) {
-            tb::net::FdStream s(fds[c]);
+            InWindow in;
             std::set<uint64_t> ids;
             Response resp;
             for (uint64_t i = 0; i < kPerConn; i++) {
-                CHECK(tb::net::recvResponseFrame(s, resp) ==
-                      tb::net::WireResult::kOk);
+                CHECK(recvResponseFrom(fds[c], in, resp));
                 CHECK(ids.insert(resp.id).second);
                 CHECK_EQ(resp.timing.genNs / 1000,
                          static_cast<int64_t>(c));
                 CHECK(resp.timing.endNs > resp.timing.startNs);
             }
-            CHECK(tb::net::recvResponseFrame(s, resp) ==
-                  tb::net::WireResult::kEof);
+            CHECK(cleanEof(fds[c], in));
             ::close(fds[c]);
         }
         server.stop();
@@ -192,6 +195,7 @@ main()
             fds.push_back(fd);
         }
         tb::util::Rng rng(37);
+        std::vector<InWindow> ins(fds.size());
         for (size_t c = 0; c < fds.size(); c++) {
             tb::net::FdStream s(fds[c]);
             Request req;
@@ -200,17 +204,13 @@ main()
             req.genNs = tb::util::monotonicNs();
             CHECK(tb::net::sendRequestFrame(s, req));
             Response resp;
-            CHECK(tb::net::recvResponseFrame(s, resp) ==
-                  tb::net::WireResult::kOk);
+            CHECK(recvResponseFrom(fds[c], ins[c], resp));
             CHECK_EQ(resp.id, static_cast<uint64_t>(c));
         }
         server.stop();
-        for (const int fd : fds) {
-            tb::net::FdStream s(fd);
-            Response resp;
-            CHECK(tb::net::recvResponseFrame(s, resp) ==
-                  tb::net::WireResult::kEof);
-            ::close(fd);
+        for (size_t c = 0; c < fds.size(); c++) {
+            CHECK(cleanEof(fds[c], ins[c]));
+            ::close(fds[c]);
         }
     }
 
@@ -224,7 +224,11 @@ main()
     // ran. The client announces a small MSS so the server's send
     // buffer stays small (connectSmallMss); its receive window still
     // spans dozens of segments — a window below the MSS would stall
-    // the transfer on zero-window probe backoff instead.
+    // the transfer on zero-window probe backoff instead. The burst is
+    // encoded once and written as one buffer (full-MSS segments, not
+    // tens of thousands of tiny sends, which under load could leave
+    // the only client thread blocked in send() on retransmit backoff)
+    // from a second thread, so the reads below never wait behind it.
     {
         NopApp app;
         tb::net::IoOptions io;
@@ -245,16 +249,19 @@ main()
         // 40000 responses are 1.9 MB — over twice what the small-MSS
         // connection's send and receive buffers absorb.
         constexpr uint64_t kBurst = 40000;
+        std::vector<uint8_t> burst;
         {
-            tb::net::FdStream s(fd);
             Request req;
             req.payload = "x";
             for (uint64_t i = 0; i < kBurst; i++) {
                 req.id = i;
-                CHECK(tb::net::sendRequestFrame(s, req));
+                CHECK(tb::net::encodeRequestFrame(burst, req));
             }
-            ::shutdown(fd, SHUT_WR);
         }
+        std::thread sender([fd, &burst] {
+            CHECK(sendAll(fd, burst.data(), burst.size()));
+            ::shutdown(fd, SHUT_WR);
+        });
         // Hold off reading until the server's sends have gone partial
         // (or a generous deadline passes on a starved host).
         const auto deferred = [&] {
@@ -273,18 +280,17 @@ main()
         // bytes through EPOLLOUT continuation — then clean EOF
         // (server FIN after the last response).
         {
-            tb::net::FdStream s(fd);
+            InWindow in;
             std::set<uint64_t> ids;
             Response resp;
             for (uint64_t i = 0; i < kBurst; i++) {
-                CHECK(tb::net::recvResponseFrame(s, resp) ==
-                      tb::net::WireResult::kOk);
+                CHECK(recvResponseFrom(fd, in, resp));
                 CHECK(resp.id < kBurst);
                 CHECK(ids.insert(resp.id).second);
             }
-            CHECK(tb::net::recvResponseFrame(s, resp) ==
-                  tb::net::WireResult::kEof);
+            CHECK(cleanEof(fd, in));
         }
+        sender.join();
         ::close(fd);
         server.stop();
     }
